@@ -1,13 +1,10 @@
-//! Service load generator + gate: the event front end versus the
-//! thread-per-connection baseline under identical client workloads.
+//! Service load generator + gate: pipelined TCP clients against the
+//! event front end over a shard fleet, spawned in-process on an
+//! ephemeral port.
 //!
-//! Both front ends are spawned in-process on ephemeral ports over the
-//! same `ServiceConfig` and the same registered graph, then driven by
-//! pipelined TCP clients:
-//!
-//! * **closed loop** (the gated comparison) — each connection keeps a
-//!   fixed window of requests in flight for a fixed duration, measuring
-//!   sustained throughput and per-request p50/p95/p99 round-trip latency;
+//! * **closed loop** — each connection keeps a fixed window of requests
+//!   in flight for a fixed duration, measuring sustained throughput and
+//!   per-request p50/p95/p99 round-trip latency;
 //! * **open loop** (the scale point) — every connection writes its whole
 //!   request burst up front, putting 100k+ queries in flight at once,
 //!   and the run measures time-to-drain.
@@ -18,19 +15,20 @@
 //! are fetched **over the wire** and re-checked against the terminal
 //! bucket identity `queries == completed + timeouts + cancelled +
 //! rejected_overload + errors + degraded + deadline_exceeded + shed`,
-//! and on the event front end the connection counters must reconcile
-//! too (`frames_in == frames_out` at quiescence).
+//! and the connection counters must reconcile too (`frames_in ==
+//! frames_out` at quiescence).
 //!
-//! Writes `BENCH_SERVICE.json` at the repo root. Under `--gate` the run
-//! fails unless the event front end sustains **≥ 2× the baseline's
-//! throughput** at **equal or better p99** (≤ 1.10× baseline, measured
-//! as a same-machine ratio so shared-runner noise divides out).
+//! Writes `BENCH_SERVICE.json` at the repo root. `--gate` fails the run
+//! unless those identities hold on every run and the 100k-in-flight
+//! burst drains — all deterministic; throughput and latency are
+//! reported, not gated (what the deleted thread-per-connection front
+//! end measured under the same clients is in BENCH_BASELINES.json).
 //!
 //! Tuning knobs: `--connections N` `--depth N` `--duration-ms N`
 //! `--burst-connections N` `--burst-depth N` `--shards N`
 //! `--io-threads N` `--skip-burst`.
 
-use pasgal_service::{EventServer, FrontendConfig, Server, Service, ServiceConfig, ShardedService};
+use pasgal_service::{EventServer, FrontendConfig, ServiceConfig, ShardedService};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -65,9 +63,9 @@ struct ConnResult {
     rtts_us: Vec<u64>,
 }
 
-/// Aggregated measurement of one front end under one arrival mode.
+/// Aggregated measurement of one arrival mode.
 struct RunResult {
-    label: String,
+    /// `closed` or `open`.
     mode: &'static str,
     connections: usize,
     depth: usize,
@@ -83,7 +81,7 @@ struct RunResult {
     p95_us: u64,
     p99_us: u64,
     wire_metrics_reconcile: bool,
-    frames_reconcile: Option<bool>,
+    frames_reconcile: bool,
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -125,7 +123,7 @@ fn connect(addr: SocketAddr) -> TcpStream {
 }
 
 /// Populate the result cache for every source so the measured workload is
-/// cache-hit dominated on both front ends alike.
+/// cache-hit dominated.
 fn warm(addr: SocketAddr) {
     let stream = connect(addr);
     let mut writer = stream.try_clone().unwrap();
@@ -218,8 +216,8 @@ fn open_loop_conn(addr: SocketAddr, burst: usize, seed: u64) -> ConnResult {
 }
 
 /// Fetch `{"op":"metrics"}` over the wire and check the terminal-bucket
-/// identity (and, if present, the front-end frame counters).
-fn wire_metrics(addr: SocketAddr) -> (bool, Option<bool>) {
+/// identity and the front-end frame counters.
+fn wire_metrics(addr: SocketAddr) -> (bool, bool) {
     let stream = connect(addr);
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
@@ -237,16 +235,13 @@ fn wire_metrics(addr: SocketAddr) -> (bool, Option<bool>) {
             + get("degraded")
             + get("deadline_exceeded")
             + get("shed");
-    let frames = m.get("frames_in").map(|_| {
-        // the in-flight metrics request itself is counted in frames_in
-        // but has not produced its response yet
-        get("frames_out") + 1 == get("frames_in") && get("frames_bad") <= get("frames_in")
-    });
+    // the in-flight metrics request itself is counted in frames_in but
+    // has not produced its response yet
+    let frames = get("frames_out") + 1 == get("frames_in") && get("frames_bad") <= get("frames_in");
     (identity, frames)
 }
 
 fn aggregate(
-    label: String,
     mode: &'static str,
     connections: usize,
     depth: usize,
@@ -264,13 +259,12 @@ fn aggregate(
     for (i, c) in conns.iter().enumerate() {
         assert_eq!(
             c.sent, c.received,
-            "{label} conn {i}: {} requests but {} responses",
+            "{mode} conn {i}: {} requests but {} responses",
             c.sent, c.received
         );
     }
     let (wire_ok, frames_ok) = wire_metrics(addr);
     RunResult {
-        label,
         mode,
         connections,
         depth,
@@ -291,13 +285,7 @@ fn aggregate(
 }
 
 /// Drive `addr` with a closed-loop fleet and aggregate.
-fn run_closed(
-    label: String,
-    addr: SocketAddr,
-    connections: usize,
-    depth: usize,
-    duration: Duration,
-) -> RunResult {
+fn run_closed(addr: SocketAddr, connections: usize, depth: usize, duration: Duration) -> RunResult {
     warm(addr);
     let t0 = Instant::now();
     let handles: Vec<_> = (0..connections)
@@ -307,11 +295,11 @@ fn run_closed(
         .collect();
     let conns: Vec<ConnResult> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     let elapsed = t0.elapsed();
-    aggregate(label, "closed", connections, depth, conns, elapsed, addr)
+    aggregate("closed", connections, depth, conns, elapsed, addr)
 }
 
 /// Drive `addr` with an open-loop burst fleet and aggregate.
-fn run_open(label: String, addr: SocketAddr, connections: usize, burst: usize) -> RunResult {
+fn run_open(addr: SocketAddr, connections: usize, burst: usize) -> RunResult {
     warm(addr);
     let t0 = Instant::now();
     let handles: Vec<_> = (0..connections)
@@ -319,15 +307,15 @@ fn run_open(label: String, addr: SocketAddr, connections: usize, burst: usize) -
         .collect();
     let conns: Vec<ConnResult> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     let elapsed = t0.elapsed();
-    aggregate(label, "open", connections, burst, conns, elapsed, addr)
+    aggregate("open", connections, burst, conns, elapsed, addr)
 }
 
 fn print_result(r: &RunResult) {
     println!(
-        "{:<18} {:>2} conns x depth {:<5} {:>8} req in {:>7.2?}  {:>9.0} req/s  \
+        "{:<6} {:>2} conns x depth {:<5} {:>8} req in {:>7.2?}  {:>9.0} req/s  \
          p50 {:>6}us p95 {:>6}us p99 {:>6}us  ok {} over {} ddl {} err {}  \
          metrics {} frames {}",
-        r.label,
+        r.mode,
         r.connections,
         r.depth,
         r.received,
@@ -345,11 +333,7 @@ fn print_result(r: &RunResult) {
         } else {
             "BROKEN"
         },
-        match r.frames_reconcile {
-            Some(true) => "ok",
-            Some(false) => "BROKEN",
-            None => "n/a",
-        },
+        if r.frames_reconcile { "ok" } else { "BROKEN" },
     );
 }
 
@@ -372,27 +356,8 @@ fn main() {
     let shards = num("--shards", 2);
     let io_threads = num("--io-threads", 2);
 
-    let graph = pasgal_graph::gen::basic::grid2d(100, 100);
-
-    // --- thread-per-connection baseline ------------------------------
-    let baseline_service = Arc::new(Service::new(service_config()));
-    baseline_service.register(GRAPH, graph.clone());
-    let mut baseline =
-        Server::spawn(Arc::clone(&baseline_service), "127.0.0.1:0").expect("bind baseline");
-    let base = run_closed(
-        "threads/closed".into(),
-        baseline.local_addr(),
-        connections,
-        depth,
-        duration,
-    );
-    print_result(&base);
-    baseline.shutdown_with_deadline(Duration::from_secs(5));
-    drop(baseline);
-
-    // --- event front end ---------------------------------------------
     let fleet = Arc::new(ShardedService::new(service_config(), shards));
-    fleet.register(GRAPH, graph);
+    fleet.register(GRAPH, pasgal_graph::gen::basic::grid2d(100, 100));
     let mut server = EventServer::spawn(
         Arc::clone(&fleet),
         "127.0.0.1:0",
@@ -403,14 +368,8 @@ fn main() {
         },
     )
     .expect("bind event server");
-    let event = run_closed(
-        "event/closed".into(),
-        server.local_addr(),
-        connections,
-        depth,
-        duration,
-    );
-    print_result(&event);
+    let closed = run_closed(server.local_addr(), connections, depth, duration);
+    print_result(&closed);
 
     // --- open-loop scale point: 100k+ queries in flight at once ------
     let burst = (!skip_burst).then(|| {
@@ -418,50 +377,35 @@ fn main() {
         println!(
             "open-loop burst: {in_flight} queries in flight across {burst_connections} connections"
         );
-        let r = run_open(
-            "event/open".into(),
-            server.local_addr(),
-            burst_connections,
-            burst_depth,
-        );
+        let r = run_open(server.local_addr(), burst_connections, burst_depth);
         print_result(&r);
         r
     });
     server.shutdown_with_deadline(Duration::from_secs(5));
     let quiesced = server.stats();
-    assert!(
-        quiesced.reconciles(),
-        "front end counters at shutdown: {quiesced:?}"
-    );
 
     // --- gate ---------------------------------------------------------
-    let speedup = event.throughput / base.throughput;
-    let p99_ratio = event.p99_us as f64 / base.p99_us.max(1) as f64;
-    println!("event front end: {speedup:.2}x baseline throughput, p99 {p99_ratio:.2}x baseline");
     let mut failures: Vec<String> = Vec::new();
-    if speedup < 2.0 {
-        failures.push(format!("throughput {speedup:.2}x < 2x baseline"));
+    if !quiesced.reconciles() {
+        failures.push(format!("front end counters at shutdown: {quiesced:?}"));
     }
-    if p99_ratio > 1.10 {
-        failures.push(format!("p99 {p99_ratio:.2}x > 1.10x baseline"));
-    }
-    for r in [Some(&base), Some(&event), burst.as_ref()]
-        .into_iter()
-        .flatten()
-    {
+    for r in [Some(&closed), burst.as_ref()].into_iter().flatten() {
         if !r.wire_metrics_reconcile {
-            failures.push(format!("{}: wire metrics identity broken", r.label));
+            failures.push(format!("{}: wire metrics identity broken", r.mode));
         }
-        if r.frames_reconcile == Some(false) {
-            failures.push(format!("{}: frame counters broken", r.label));
+        if !r.frames_reconcile {
+            failures.push(format!("{}: frame counters broken", r.mode));
         }
+    }
+    if gate && burst.is_none() {
+        failures.push("the gate needs the open-loop burst (drop --skip-burst)".into());
     }
 
-    write_report(&base, &event, burst.as_ref(), speedup, p99_ratio);
+    write_report(&closed, burst.as_ref(), failures.is_empty());
     println!("report written to BENCH_SERVICE.json");
 
     if failures.is_empty() {
-        println!("service OK: >=2x throughput at <=1.10x p99, all identities hold");
+        println!("service OK: one response per request, all identities hold");
     } else {
         eprintln!("FAIL: {}", failures.join("; "));
         if gate {
@@ -470,22 +414,15 @@ fn main() {
     }
 }
 
-fn write_report(
-    base: &RunResult,
-    event: &RunResult,
-    burst: Option<&RunResult>,
-    speedup: f64,
-    p99_ratio: f64,
-) {
+fn write_report(closed: &RunResult, burst: Option<&RunResult>, identities_hold: bool) {
     use std::fmt::Write as _;
     let entry = |r: &RunResult| -> String {
         format!(
-            "    {{\"label\": \"{}\", \"mode\": \"{}\", \"connections\": {}, \"depth\": {}, \
+            "    {{\"mode\": \"{}\", \"connections\": {}, \"depth\": {}, \
              \"requests\": {}, \"responses\": {}, \"elapsed_ms\": {}, \"throughput_rps\": {:.1}, \
              \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"ok\": {}, \"overloaded\": {}, \
              \"deadline_exceeded\": {}, \"other_errors\": {}, \"wire_metrics_reconcile\": {}, \
              \"frames_reconcile\": {}}}",
-            r.label,
             r.mode,
             r.connections,
             r.depth,
@@ -501,29 +438,20 @@ fn write_report(
             r.deadline_exceeded,
             r.other_errors,
             r.wire_metrics_reconcile,
-            match r.frames_reconcile {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            }
+            r.frames_reconcile
         )
     };
     let mut j = String::new();
     j.push_str("{\n  \"bench\": \"service-loadgen\",\n  \"runs\": [\n");
-    j.push_str(&entry(base));
-    j.push_str(",\n");
-    j.push_str(&entry(event));
+    j.push_str(&entry(closed));
     if let Some(b) = burst {
         j.push_str(",\n");
         j.push_str(&entry(b));
     }
-    j.push('\n');
-    j.push_str("  ],\n");
+    j.push_str("\n  ],\n");
     let _ = writeln!(
         j,
-        "  \"summary\": {{\"throughput_speedup\": {speedup:.4}, \"p99_vs_baseline\": {p99_ratio:.4}, \
-         \"throughput_target_met\": {}, \"p99_target_met\": {}}}",
-        speedup >= 2.0,
-        p99_ratio <= 1.10
+        "  \"summary\": {{\"identities_hold\": {identities_hold}}}"
     );
     j.push_str("}\n");
     std::fs::write("BENCH_SERVICE.json", j).expect("write BENCH_SERVICE.json");

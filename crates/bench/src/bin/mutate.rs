@@ -1,48 +1,50 @@
-//! Live-graph mutation bench and gate: incremental invalidation versus
-//! the generation-nuke baseline (DESIGN.md §17).
+//! Live-graph mutation bench and gate: answers under mutation checked
+//! against a scratch rebuild, and warm-cache retention (DESIGN.md §17).
 //!
 //! A deterministic 512-op sequence with a 10% mutation mix — every
 //! tenth op is a 4-edge insertion batch of diagonal shortcuts, the rest
 //! are BFS point queries over a 16-source rotation plus periodic CC
-//! lookups — runs twice against identical services that differ in one
-//! config bit: `incremental_invalidation` on (revalidate-or-repair the
-//! warm cache under the mutation lock) versus off (drop the graph's
-//! whole generation on every applied batch).
+//! lookups — runs against one service. Beside it runs a model that
+//! never touches the overlay or the cache: a set of undirected edges,
+//! rebuilt into a fresh plain CSR after every batch, on which each query
+//! is answered by a direct kernel call.
 //!
 //! Reported (BENCH_MUTATE.json at the repo root): cache hits/misses,
-//! revalidation counters, epoch progression, and wall time per mode,
-//! plus the retention ratio.
+//! revalidation counters, mutation batches, wall time, and the warm-hit
+//! ratio. What dropping the graph's whole generation on every batch
+//! measured on the same sequence is recorded in BENCH_BASELINES.json.
 //!
 //! Invariants — deterministic (sequential issuance, no fault
-//! injection), so `--gate` relies on them in CI:
-//! * both modes return bit-identical replies for every op (invalidation
-//!   strategy is a performance knob, never a correctness knob);
-//! * `mutation_reconciles` and the terminal-bucket identity hold in
-//!   both modes;
-//! * the incremental run keeps ≥ 2× the warm cache hits of the nuke
-//!   baseline.
+//! injection). The first two are correctness and fail any run; the
+//! third is the threshold `--gate` adds in CI:
+//! * every reply equals the model's (512 of 512);
+//! * `mutation_reconciles` and the terminal-bucket identity hold;
+//! * hits / (hits + misses) ≥ 0.90 — revalidation keeps the cache warm
+//!   across batches.
 
+use pasgal_core::bfs::seq::bfs_seq;
+use pasgal_core::cc::connectivity;
+use pasgal_core::common::UNREACHED;
+use pasgal_graph::builder::from_edges_symmetric;
+use pasgal_graph::csr::Graph;
 use pasgal_graph::gen::basic::grid2d;
 use pasgal_graph::overlay::Mutation;
 use pasgal_service::{MetricsSnapshot, Query, Reply, Service, ServiceConfig};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 const SIDE: usize = 64; // 64×64 grid: flights are real but bounded
 const OPS: u32 = 512; // every 10th op mutates → 10% mutation mix
-
-enum Op {
-    Mutate(Vec<Mutation>),
-    Query(Query),
-}
+const MIN_WARM_HIT_RATIO: f64 = 0.90;
 
 /// The `i`-th op of the deterministic sequence.
-fn op(i: u32) -> Op {
+fn op(i: u32) -> Query {
     let side = SIDE as u32;
     let n = side * side;
     if i % 10 == 9 {
         // four diagonal shortcuts (r, c) → (r+1, c+1): local edits whose
-        // distance-repair frontier is small, the regime incremental
-        // invalidation is built for
+        // distance-repair frontier is small, the regime revalidation is
+        // built for
         let ops = (0..4u32)
             .map(|j| {
                 let h = i.wrapping_mul(37).wrapping_add(j.wrapping_mul(101));
@@ -55,148 +57,171 @@ fn op(i: u32) -> Op {
                 }
             })
             .collect();
-        Op::Mutate(ops)
+        Query::Mutate {
+            graph: "g".into(),
+            ops,
+            compact: false,
+        }
     } else if i % 5 == 4 {
-        Op::Query(Query::CcId {
+        Query::CcId {
             graph: "g".into(),
             vertex: Some((i * 977) % n),
-        })
+        }
     } else {
-        Op::Query(Query::BfsDist {
+        Query::BfsDist {
             graph: "g".into(),
             src: (i * 131) % 16,
             target: Some((i * 977) % n),
-        })
+        }
     }
 }
 
-struct Run {
-    replies: Vec<Reply>,
-    metrics: MetricsSnapshot,
-    wall: Duration,
+/// The graph as a set of undirected edges, rebuilt from scratch into a
+/// plain CSR after every batch that changes it.
+struct Model {
+    edges: BTreeSet<(u32, u32)>,
+    graph: Graph,
+    epoch: u64,
 }
 
-fn run_mode(incremental: bool) -> Run {
-    let svc = Service::new(ServiceConfig {
-        workers: 2,
-        cache_capacity: 256, // hold the whole working set: no LRU noise
-        query_timeout: Duration::from_secs(10),
-        incremental_invalidation: incremental,
-        ..ServiceConfig::default()
-    });
-    svc.register("g", grid2d(SIDE, SIDE));
-    let t0 = Instant::now();
-    let mut replies = Vec::with_capacity(OPS as usize);
-    for i in 0..OPS {
-        let q = match op(i) {
-            Op::Mutate(ops) => Query::Mutate {
-                graph: "g".into(),
-                ops,
-                compact: false,
-            },
-            Op::Query(q) => q,
-        };
-        replies.push(svc.query(&q).expect("deterministic workload never errors"));
+impl Model {
+    fn new(g: &Graph) -> Model {
+        Model {
+            edges: g.edges().filter(|&(u, v)| u < v).collect(),
+            graph: g.clone(),
+            epoch: 0,
+        }
     }
-    let wall = t0.elapsed();
-    let metrics = svc.metrics();
-    Run {
-        replies,
-        metrics,
-        wall,
+
+    /// What the service must reply to `q`.
+    fn answer(&mut self, q: &Query) -> Reply {
+        match q {
+            Query::Mutate { ops, .. } => {
+                let mut applied = 0;
+                for m in ops {
+                    let Mutation::InsertEdge { u, v, .. } = *m else {
+                        unreachable!("the sequence only inserts edges")
+                    };
+                    applied += usize::from(self.edges.insert((u.min(v), u.max(v))));
+                }
+                if applied > 0 {
+                    self.epoch += 1;
+                    let pairs: Vec<_> = self.edges.iter().copied().collect();
+                    self.graph = from_edges_symmetric(SIDE * SIDE, &pairs);
+                }
+                Reply::Mutated {
+                    epoch: self.epoch,
+                    applied,
+                    n: self.graph.num_vertices(),
+                    m: self.graph.num_edges(),
+                }
+            }
+            Query::BfsDist { src, target, .. } => {
+                let t = target.expect("the sequence only asks point queries");
+                let d = bfs_seq(&self.graph, *src).dist[t as usize];
+                Reply::Dist {
+                    value: (d != UNREACHED).then_some(u64::from(d)),
+                }
+            }
+            Query::CcId { vertex, .. } => {
+                let v = vertex.expect("the sequence only asks point queries");
+                let cc = connectivity(&self.graph);
+                Reply::Label {
+                    vertex: v,
+                    label: cc.labels[v as usize],
+                    components: cc.num_components,
+                }
+            }
+            other => unreachable!("not part of the sequence: {other:?}"),
+        }
     }
 }
 
 fn main() {
     let gate = std::env::args().any(|a| a == "--gate");
 
-    let inc = run_mode(true);
-    let nuke = run_mode(false);
+    let grid = grid2d(SIDE, SIDE);
+    let mut model = Model::new(&grid);
+    let svc = Service::new(ServiceConfig {
+        workers: 2,
+        cache_capacity: 256, // hold the whole working set: no LRU noise
+        query_timeout: Duration::from_secs(10),
+        ..ServiceConfig::default()
+    });
+    svc.register("g", grid);
 
-    // ---- invariants -------------------------------------------------
-    assert_eq!(
-        inc.replies, nuke.replies,
-        "invalidation strategy must never change an answer"
-    );
-    for (name, m) in [("incremental", &inc.metrics), ("nuke", &nuke.metrics)] {
-        assert!(m.reconciles(), "{name}: terminal identity broke: {m:?}");
-        assert!(
-            m.mutation_reconciles(),
-            "{name}: mutation identity broke: {m:?}"
-        );
-        assert_eq!(m.errors, 0, "{name}: {m:?}");
+    let mut wall = Duration::ZERO;
+    let mut mismatches = Vec::new();
+    for i in 0..OPS {
+        let q = op(i);
+        let t0 = Instant::now();
+        let got = svc.query(&q).expect("deterministic workload never errors");
+        wall += t0.elapsed();
+        let want = model.answer(&q);
+        if got != want {
+            mismatches.push(format!("op {i} {q:?}: got {got:?}, want {want:?}"));
+        }
     }
-    assert!(
-        inc.metrics.cache_revalidated > 0,
-        "the incremental run should have revalidated entries: {:?}",
-        inc.metrics
-    );
-    assert_eq!(
-        nuke.metrics.cache_revalidated, 0,
-        "the nuke baseline never revalidates: {:?}",
-        nuke.metrics
-    );
+    let m = svc.metrics();
 
-    let ratio = inc.metrics.cache_hits as f64 / (nuke.metrics.cache_hits as f64).max(1.0);
+    let ratio = m.cache_hits as f64 / ((m.cache_hits + m.cache_misses) as f64).max(1.0);
     println!(
         "mutate: {OPS} ops ({} mutation batches) on a {SIDE}x{SIDE} grid",
-        inc.metrics.mutation_batches
+        m.mutation_batches
     );
+    let equal = OPS as usize - mismatches.len();
+    println!("  {equal} of {OPS} replies equal the scratch rebuild");
     println!(
-        "  incremental: {} hits / {} misses, {} revalidated, {} dropped, {:.1} ms",
-        inc.metrics.cache_hits,
-        inc.metrics.cache_misses,
-        inc.metrics.cache_revalidated,
-        inc.metrics.cache_dropped,
-        inc.wall.as_secs_f64() * 1e3
+        "  {} hits / {} misses, {} revalidated, {} dropped, {:.1} ms",
+        m.cache_hits,
+        m.cache_misses,
+        m.cache_revalidated,
+        m.cache_dropped,
+        wall.as_secs_f64() * 1e3
     );
-    println!(
-        "  nuke:        {} hits / {} misses, {} dropped, {:.1} ms",
-        nuke.metrics.cache_hits,
-        nuke.metrics.cache_misses,
-        nuke.metrics.cache_dropped,
-        nuke.wall.as_secs_f64() * 1e3
-    );
-    println!("  warm-hit retention ratio: {ratio:.2}x (gate: >= 2.0x)");
+    println!("  warm-hit ratio: {ratio:.3} (gate: >= {MIN_WARM_HIT_RATIO})");
 
-    write_report(&inc, &nuke, ratio);
+    // A wrong reply or a broken identity is never a threshold: it fails
+    // the run with or without `--gate`, and leaves the report alone.
+    let mut wrong = mismatches;
+    if !m.reconciles() {
+        wrong.push(format!("terminal identity broke: {m:?}"));
+    }
+    if !m.mutation_reconciles() {
+        wrong.push(format!("mutation identity broke: {m:?}"));
+    }
+    if !wrong.is_empty() {
+        eprintln!("FAIL: {}", wrong.join("; "));
+        std::process::exit(1);
+    }
+
+    let warm = ratio >= MIN_WARM_HIT_RATIO;
+    write_report(&m, wall, equal, ratio, warm);
     println!("report written to BENCH_MUTATE.json");
-
-    assert!(
-        ratio >= 2.0,
-        "incremental invalidation must retain >= 2x the warm hits of the nuke baseline, got {ratio:.2}x"
-    );
-    if gate {
-        println!("mutate gate OK: answers identical, identities hold, retention {ratio:.2}x");
+    if warm {
+        println!(
+            "mutate OK: all replies equal the rebuild, identities hold, warm-hit ratio {ratio:.3}"
+        );
+    } else {
+        eprintln!("FAIL: warm-hit ratio {ratio:.3} < {MIN_WARM_HIT_RATIO}");
+        if gate {
+            std::process::exit(1);
+        }
     }
 }
 
-fn write_report(inc: &Run, nuke: &Run, ratio: f64) {
-    use std::fmt::Write as _;
-    let mode = |j: &mut String, name: &str, r: &Run| {
-        let m = &r.metrics;
-        let _ = writeln!(
-            j,
-            "  \"{name}\": {{\"cache_hits\": {}, \"cache_misses\": {}, \
-             \"cache_revalidated\": {}, \"cache_dropped\": {}, \
-             \"mutation_batches\": {}, \"wall_ns\": {}}},",
-            m.cache_hits,
-            m.cache_misses,
-            m.cache_revalidated,
-            m.cache_dropped,
-            m.mutation_batches,
-            r.wall.as_nanos()
-        );
-    };
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"bench\": \"mutate-invalidation\",\n");
-    let _ = writeln!(j, "  \"ops\": {OPS},");
-    let _ = writeln!(j, "  \"mutation_mix\": 0.1,");
-    mode(&mut j, "incremental", inc);
-    mode(&mut j, "nuke", nuke);
-    let _ = writeln!(j, "  \"retention_ratio\": {ratio:.4},");
-    let _ = writeln!(j, "  \"gate_2x\": {}", ratio >= 2.0);
-    j.push_str("}\n");
+fn write_report(m: &MetricsSnapshot, wall: Duration, equal: usize, ratio: f64, ok: bool) {
+    let j = format!(
+        "{{\n  \"bench\": \"mutate-invalidation\",\n  \"ops\": {OPS},\n  \"mutation_mix\": 0.1,\n  \
+         \"replies_equal_rebuild\": {equal},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \
+         \"cache_revalidated\": {},\n  \"cache_dropped\": {},\n  \"mutation_batches\": {},\n  \
+         \"wall_ns\": {},\n  \"warm_hit_ratio\": {ratio:.4},\n  \"gate\": {ok}\n}}\n",
+        m.cache_hits,
+        m.cache_misses,
+        m.cache_revalidated,
+        m.cache_dropped,
+        m.mutation_batches,
+        wall.as_nanos()
+    );
     std::fs::write("BENCH_MUTATE.json", j).expect("write BENCH_MUTATE.json");
 }

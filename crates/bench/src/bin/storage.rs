@@ -85,17 +85,9 @@ fn measure(graph: &'static str, g: &Graph, entries: &mut Vec<Entry>) {
     let cfg = VgcConfig::adaptive();
 
     let compressed = CompressedGraph::from_storage(g);
-    let dir = std::env::temp_dir();
-    let p_plain = dir.join(format!(
-        "pasgal_storage_{}_{}.pasgal",
-        std::process::id(),
-        graph
-    ));
-    let p_comp = dir.join(format!(
-        "pasgal_storage_{}_{}_c.pasgal",
-        std::process::id(),
-        graph
-    ));
+    let dir = pasgal_graph::io::unique_temp_dir("storage");
+    let p_plain = dir.join("plain.pasgal");
+    let p_comp = dir.join("compressed.pasgal");
     pack(g, &p_plain, false).expect("pack plain");
     pack(g, &p_comp, true).expect("pack compressed");
     let mmap_plain = MmapGraph::load(&p_plain).expect("load plain container");
@@ -137,8 +129,6 @@ fn measure(graph: &'static str, g: &Graph, entries: &mut Vec<Entry>) {
             bfs_ns: ns,
         });
     }
-    std::fs::remove_file(&p_plain).ok();
-    std::fs::remove_file(&p_comp).ok();
 }
 
 fn main() {

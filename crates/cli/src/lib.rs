@@ -35,28 +35,13 @@
 //!   --scale tiny|small|full   for `gen` (default small)
 //!   --compress        for `pack`: byte-compressed payload (delta/varint)
 //!   --force           for `pack`: overwrite an existing output file
-//!   --host H --port N         for `serve` (default 127.0.0.1:7421;
-//!                             port 0 binds an ephemeral port, resolved
-//!                             in the banner and via the serve API)
-//!   --frontend event|threads  serving front end: readiness-loop event
-//!                             multiplexing (default) or the
-//!                             thread-per-connection baseline
-//!   --io-threads N            event front end I/O threads
-//!   --shards N                worker/cache shards (route by graph name)
-//!   --pipeline-depth N        per-connection in-flight request cap
-//!   --storage plain|compressed|mmap   backend `serve` loads graphs into
-//!   --mmap            shorthand for --storage mmap (container files)
-//!   --workers N --queue N --timeout-ms N --cache N   service tuning
-//!   --max-retries N           retry budget for transient failures
-//!   --breaker-threshold N     failures that open a key's breaker
-//!   --breaker-cooldown-ms N   open-breaker cool-down before probing
-//!   --default-deadline-ms N   deadline for queries without their own
-//!   --memory-budget-mb N      brownout memory budget for resident data
-//!   --compact-delta-kb N      overlay delta size that triggers compaction
-//!   --invalidation MODE       incremental (default) or nuke cache strategy
-//!                             when a graph is mutated
-//!   --drain-ms N      how long `serve` waits for in-flight work on
-//!                     SIGINT/SIGTERM before exiting (default 5000)
+//!   serve flags       `--host S --port N` (default 127.0.0.1:7421; port 0
+//!                     binds an ephemeral port, resolved in the banner),
+//!                     `--storage plain|compressed|mmap`, `--shards N`,
+//!                     `--workers N`, `--drain-ms N`, …: `pasgal serve
+//!                     --help` prints all of them with range and default,
+//!                     straight from the `SERVE_FLAGS` table that
+//!                     parses them
 //!   --trace-rounds    print one line per synchronization round (frontier
 //!                     size, edges traversed, elapsed time) before the
 //!                     summary; bfs/sssp/scc/bcc/cc/kcore, default --algo
@@ -67,10 +52,11 @@
 //! an edge list.
 
 use pasgal_core::common::VgcConfig;
-use pasgal_graph::csr::Graph;
 use pasgal_graph::io;
+use pasgal_service::{EventServer, FrontendConfig, ServiceConfig, ShardedService};
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Arc;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,69 +82,180 @@ impl std::error::Error for UsageError {}
 
 /// Options that are bare flags: their presence means "true" and no value
 /// is consumed from the argument stream.
-const FLAG_OPTIONS: &[&str] = &["trace-rounds", "help", "compress", "mmap", "force"];
+const FLAG_OPTIONS: &[&str] = &["trace-rounds", "help", "compress", "force"];
 
-/// Every `pasgal serve` tuning flag with its help line. This table is
-/// both the `serve --help` output and the strict allowlist: a serve
-/// option not listed here is a [`UsageError`], never silently ignored.
-pub const SERVE_FLAGS: &[(&str, &str)] = &[
-    ("host H", "bind address (default 127.0.0.1)"),
-    ("port N", "TCP port (default 7421; 0 picks an ephemeral port, resolved in the banner)"),
-    ("frontend KIND", "serving front end: event (readiness loop multiplexing many connections per I/O thread, default) or threads (thread-per-connection baseline)"),
-    ("io-threads N", "event front end I/O threads, each polling its share of connections (default: cores, capped at 4)"),
-    ("shards N", "worker-pool/cache shards; queries route by hash of graph name (default 1; event front end only)"),
-    ("pipeline-depth N", "pipelined requests one connection may have in flight before its reads pause (default 128; event front end only)"),
-    ("workers N", "worker threads executing traversals (default: cores, capped at 8)"),
-    ("queue N", "bounded admission queue depth; full queue rejects with overloaded (default 64)"),
-    ("timeout-ms N", "per-attempt query timeout in milliseconds (default 30000)"),
-    ("cache N", "result-cache capacity in entries, LRU evicted (default 128)"),
-    ("tau N", "VGC granularity τ for all traversals (default 256)"),
-    ("threads N", "rayon threads inside each traversal (default: all cores)"),
-    ("max-retries N", "retry budget for transient failures: panics, injected faults, overload (default 2; 0 disables retry)"),
-    ("breaker-threshold N", "consecutive flight failures that open a key's circuit breaker (default 5; 0 disables breakers)"),
-    ("breaker-cooldown-ms N", "how long an open breaker waits before admitting a half-open probe (default 1000)"),
-    ("oracle-resident N", "graphs with ≤ N vertices promote a resident all-pairs distance oracle into the cache (default 128; 0 disables)"),
-    ("oracle-sources N", "seats per multi-source oracle flight (default 64, max 128)"),
-    ("default-deadline-ms N", "end-to-end deadline applied to queries that carry no deadline_ms of their own (default: none)"),
-    ("memory-budget-mb N", "resident-memory budget feeding the brownout controller; pressure above it sheds oracle promotion and flight width (default: none)"),
-    ("compact-delta-kb N", "mutation-overlay delta size that triggers background compaction into a fresh CSR (default 1024)"),
-    ("invalidation MODE", "cache strategy on mutation: incremental (revalidate/repair entries, default) or nuke (drop the graph's generation)"),
-    ("storage KIND", "backend positional graphs load into: plain, compressed, or mmap (default: mmap for .pasgal containers, plain otherwise)"),
-    ("mmap", "shorthand for --storage mmap; positional files must be .pasgal containers"),
-    ("drain-ms N", "shutdown drain deadline for in-flight work on SIGINT/SIGTERM (default 5000)"),
-    ("trace-rounds", "print one line per synchronization round (query commands; accepted by serve for symmetry, no per-round output server-side)"),
-    ("help", "print this flag listing and exit"),
+/// How a flag's value is checked, and what an absent flag means.
+enum FlagKind {
+    /// An integer in `lo..=hi`. `default` reads it off the configs the
+    /// flag overrides; `None` leaves the setting off.
+    Num {
+        lo: u64,
+        hi: u64,
+        default: fn(&ServiceConfig, &FrontendConfig) -> Option<u64>,
+    },
+    /// One of the listed words; absent means "decide per input".
+    Choice(&'static [&'static str]),
+    /// Free text.
+    Text { default: &'static str },
+    /// No value: presence alone switches it on.
+    Bare,
+}
+
+/// One `pasgal serve` flag.
+struct ServeFlag {
+    name: &'static str,
+    kind: FlagKind,
+    help: &'static str,
+}
+
+const fn num(
+    name: &'static str,
+    lo: u64,
+    hi: u64,
+    default: fn(&ServiceConfig, &FrontendConfig) -> Option<u64>,
+    help: &'static str,
+) -> ServeFlag {
+    ServeFlag {
+        name,
+        kind: FlagKind::Num { lo, hi, default },
+        help,
+    }
+}
+
+const MAX_SOURCES: u64 = pasgal_core::multi::MAX_SOURCES as u64;
+
+/// Every `pasgal serve` flag. This table *is* the parser: the allowlist
+/// (a serve option not listed here is a [`UsageError`], never silently
+/// ignored), each value's range check and default, and the
+/// `serve --help` text are all read off it, and [`start_service`] can
+/// only read a flag through its row.
+const SERVE_FLAGS: &[ServeFlag] = &[
+    ServeFlag {
+        name: "host",
+        kind: FlagKind::Text { default: "127.0.0.1" },
+        help: "bind address",
+    },
+    num("port", 0, 65_535, |_, _| Some(7421), "TCP port; 0 picks an ephemeral port, resolved in the banner"),
+    num("io-threads", 1, 64, |_, f| Some(f.io_threads as u64), "front-end I/O threads, each polling its share of connections"),
+    num("shards", 1, 64, |_, _| Some(1), "worker-pool/cache shards; queries route by hash of graph name"),
+    num("pipeline-depth", 1, 4096, |_, f| Some(f.pipeline_depth as u64), "pipelined requests one connection may have in flight before its reads pause"),
+    num("workers", 1, 4096, |s, _| Some(s.workers as u64), "worker threads executing traversals, divided across shards"),
+    num("queue", 1, 1_000_000, |s, _| Some(s.queue_capacity as u64), "bounded admission queue depth; a full queue rejects with overloaded"),
+    num("timeout-ms", 1, 86_400_000, |s, _| Some(s.query_timeout.as_millis() as u64), "per-attempt query timeout in milliseconds"),
+    num("cache", 1, 1_000_000, |s, _| Some(s.cache_capacity as u64), "result-cache capacity in entries, LRU evicted"),
+    num("tau", 1, 1 << 20, |s, _| Some(s.tau as u64), "VGC granularity τ for all traversals"),
+    num("threads", 1, 4096, |_, _| None, "rayon threads inside each traversal (default: all cores)"),
+    num("max-retries", 0, 100, |s, _| Some(u64::from(s.resilience.max_retries)), "retry budget for transient failures: panics, injected faults, overload; 0 disables retry"),
+    num("breaker-threshold", 0, 1_000_000, |s, _| Some(u64::from(s.resilience.breaker_threshold)), "consecutive flight failures that open a key's circuit breaker; 0 disables breakers"),
+    num("breaker-cooldown-ms", 0, 600_000, |s, _| Some(s.resilience.breaker_cooldown.as_millis() as u64), "how long an open breaker waits before admitting a half-open probe"),
+    num("oracle-resident", 0, MAX_SOURCES, |s, _| Some(s.oracle_resident_max as u64), "graphs with ≤ N vertices promote a resident all-pairs distance oracle into the cache; 0 disables"),
+    num("oracle-sources", 1, MAX_SOURCES, |s, _| Some(s.oracle_max_sources as u64), "seats per multi-source oracle flight"),
+    num("default-deadline-ms", 1, 86_400_000, |_, _| None, "end-to-end deadline applied to queries that carry no deadline_ms of their own (default: none)"),
+    num("memory-budget-mb", 1, 1_048_576, |_, _| None, "resident-memory budget feeding the brownout controller; pressure above it sheds oracle promotion and flight width (default: none)"),
+    num("compact-delta-kb", 1, 4_194_304, |s, _| Some((s.compact_delta_bytes / 1024) as u64), "mutation-overlay delta size that triggers background compaction into a fresh CSR"),
+    ServeFlag {
+        name: "storage",
+        kind: FlagKind::Choice(&["plain", "compressed", "mmap"]),
+        help: "backend positional graphs load into (default: mmap for .pasgal containers, plain otherwise)",
+    },
+    num("drain-ms", 0, 600_000, |_, _| Some(5_000), "shutdown drain deadline for in-flight work on SIGINT/SIGTERM"),
+    ServeFlag {
+        name: "help",
+        kind: FlagKind::Bare,
+        help: "print this flag listing and exit",
+    },
 ];
+
+impl ServeFlag {
+    /// `--name VALUE` as the help text spells it.
+    fn usage(&self) -> String {
+        match self.kind {
+            FlagKind::Num { .. } => format!("{} N", self.name),
+            FlagKind::Choice(words) => format!("{} {}", self.name, words.join("|")),
+            FlagKind::Text { .. } => format!("{} S", self.name),
+            FlagKind::Bare => self.name.to_string(),
+        }
+    }
+}
 
 /// Render `pasgal serve --help`.
 pub fn serve_help() -> String {
     let mut out = String::from(
         "usage: pasgal serve [graph-files...] [options]\n\n\
-         Start the JSON-lines-over-TCP query service; each positional\n\
-         graph file is registered under its file stem.\n\noptions:\n",
+         Start the query service (JSON lines or the PGB1 binary protocol\n\
+         over TCP); each positional graph file is registered under its\n\
+         file stem.\n\noptions:\n",
     );
-    let width = SERVE_FLAGS.iter().map(|(f, _)| f.len()).max().unwrap_or(0);
-    for (flag, what) in SERVE_FLAGS {
-        out.push_str(&format!("  --{flag:<width$}  {what}\n"));
+    let (service, frontend) = (ServiceConfig::default(), FrontendConfig::default());
+    let width = SERVE_FLAGS
+        .iter()
+        .map(|f| f.usage().len())
+        .max()
+        .unwrap_or(0);
+    for flag in SERVE_FLAGS {
+        out.push_str(&format!("  --{:<width$}  {}", flag.usage(), flag.help));
+        match flag.kind {
+            FlagKind::Num { lo, hi, default } => {
+                out.push_str(&format!(" [{lo}..={hi}"));
+                if let Some(d) = default(&service, &frontend) {
+                    out.push_str(&format!(", default {d}"));
+                }
+                out.push(']');
+            }
+            FlagKind::Text { default } => out.push_str(&format!(" [default {default}]")),
+            FlagKind::Choice(_) | FlagKind::Bare => {}
+        }
+        out.push('\n');
     }
     out
 }
 
-/// Strict option validation for `serve`: every `--key` must appear in
-/// [`SERVE_FLAGS`]. A typo like `--breaker-treshold` errors instead of
-/// silently running with defaults.
-pub fn validate_serve_options(cli: &Cli) -> Result<(), UsageError> {
-    for key in cli.options.keys() {
-        let known = SERVE_FLAGS
-            .iter()
-            .any(|(flag, _)| flag.split_whitespace().next() == Some(key.as_str()));
-        if !known {
-            return Err(UsageError(format!(
-                "unknown serve option --{key} (see pasgal serve --help)"
-            )));
+/// Every number `pasgal serve` runs with, by flag name: the given value,
+/// else the row's default (`None`: the setting stays off). Reading a
+/// name that is not a `Num` row of [`SERVE_FLAGS`] panics.
+type ServeNumbers = HashMap<&'static str, Option<u64>>;
+
+/// The one pass over `serve`'s options: every `--key` must be a
+/// `SERVE_FLAGS` row and every value must pass its row's check. A typo
+/// like `--breaker-treshold` errors instead of silently running with
+/// defaults.
+pub fn validate_serve_options(cli: &Cli) -> Result<ServeNumbers, UsageError> {
+    if let Some(key) = cli
+        .options
+        .keys()
+        .find(|key| SERVE_FLAGS.iter().all(|f| f.name != key.as_str()))
+    {
+        return Err(UsageError(format!(
+            "unknown serve option --{key} (see pasgal serve --help)"
+        )));
+    }
+    let (service, frontend) = (ServiceConfig::default(), FrontendConfig::default());
+    let mut numbers = ServeNumbers::new();
+    for &ServeFlag { name, ref kind, .. } in SERVE_FLAGS {
+        match (kind, cli.options.get(name)) {
+            (FlagKind::Num { default, .. }, None) => {
+                numbers.insert(name, default(&service, &frontend));
+            }
+            (&FlagKind::Num { lo, hi, .. }, Some(raw)) => match raw.parse::<u64>() {
+                Ok(v) if (lo..=hi).contains(&v) => {
+                    numbers.insert(name, Some(v));
+                }
+                _ => {
+                    return Err(UsageError(format!(
+                        "--{name} must be a number in {lo}..={hi} (got {raw:?})"
+                    )))
+                }
+            },
+            (FlagKind::Choice(words), Some(raw)) if !words.contains(&raw.as_str()) => {
+                return Err(UsageError(format!(
+                    "--{name} must be one of {} (got {raw:?})",
+                    words.join(", ")
+                )))
+            }
+            _ => {}
         }
     }
-    Ok(())
+    Ok(numbers)
 }
 
 /// Parse raw arguments (excluding `argv[0]`).
@@ -224,326 +321,104 @@ pub fn threads_option(cli: &Cli) -> Result<usize, UsageError> {
     Ok(t as usize)
 }
 
-/// Load a graph by file extension (`.pasgal` containers decode to a
-/// plain in-memory graph here; `serve --storage mmap` keeps them mapped).
-pub fn load_graph(path: &str) -> Result<Graph, String> {
-    let p = Path::new(path);
-    let ext = p.extension().and_then(|e| e.to_str()).unwrap_or("");
-    let res = match ext {
-        "adj" => io::read_adj(p),
-        "bin" => io::read_bin(p),
-        "pasgal" => {
-            return pasgal_graph::disk::MmapGraph::load(p)
-                .map(|g| pasgal_graph::storage::to_plain(&g))
-                .map_err(|e| format!("cannot read {path}: {e}"))
-        }
-        _ => io::read_edge_list(p),
-    };
-    res.map_err(|e| format!("cannot read {path}: {e}"))
-}
-
 /// Parse `--drain-ms`: how long a shutting-down server waits for
 /// in-flight queries after cancelling them (default 5 s). Zero is
 /// allowed and means "cancel and exit immediately".
 pub fn drain_option(cli: &Cli) -> Result<std::time::Duration, UsageError> {
-    let ms = cli.num("drain-ms", 5_000)?;
-    if ms > 600_000 {
-        return Err(UsageError(format!(
-            "--drain-ms {ms} is not a sane drain deadline"
-        )));
-    }
+    let ms = validate_serve_options(cli)?["drain-ms"].expect("the row has a default");
     Ok(std::time::Duration::from_millis(ms))
 }
 
-/// Either serving front end behind one lifecycle API, so `main` and the
-/// tests treat `--frontend event` and `--frontend threads` uniformly.
-pub enum ServeHandle {
-    /// Thread-per-connection baseline ([`pasgal_service::Server`]).
-    Threads(pasgal_service::Server),
-    /// Readiness-loop event front end ([`pasgal_service::EventServer`]).
-    Event(pasgal_service::EventServer),
-}
-
-impl ServeHandle {
-    /// The bound address; `--port 0` resolves to the actual ephemeral
-    /// port here.
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            ServeHandle::Threads(s) => s.local_addr(),
-            ServeHandle::Event(s) => s.local_addr(),
-        }
-    }
-
-    /// The actual bound TCP port (the serve-API answer to `--port 0`).
-    pub fn port(&self) -> u16 {
-        self.local_addr().port()
-    }
-
-    /// One-line description of the front end for the banner.
-    pub fn describe(&self) -> String {
-        match self {
-            ServeHandle::Threads(_) => "threads (one thread per connection)".to_string(),
-            ServeHandle::Event(s) => {
-                let c = s.config();
-                format!(
-                    "event ({} io threads, {} shards, pipeline depth {})",
-                    c.io_threads,
-                    s.sharded().num_shards(),
-                    c.pipeline_depth
-                )
-            }
-        }
-    }
-
-    /// Shut down with the front end's default drain deadline.
-    pub fn shutdown(&mut self) {
-        match self {
-            ServeHandle::Threads(s) => s.shutdown(),
-            ServeHandle::Event(s) => s.shutdown(),
-        }
-    }
-
-    /// Cancel in-flight work, then wait up to `drain` for connections to
-    /// flush and close.
-    pub fn shutdown_with_deadline(&mut self, drain: std::time::Duration) {
-        match self {
-            ServeHandle::Threads(s) => s.shutdown_with_deadline(drain),
-            ServeHandle::Event(s) => s.shutdown_with_deadline(drain),
-        }
-    }
-}
-
 /// The start-up banner for `pasgal serve`: bound address (first line,
-/// address last so scripts can grab it), front end description, and the
+/// address last so scripts can grab it), front end tuning, and the
 /// registered-graph listing across every shard.
-pub fn serve_banner(service: &pasgal_service::ShardedService, server: &ServeHandle) -> String {
-    // each shard's catalog reports sort by name, so they zip positionally
-    let mut rows: Vec<String> = Vec::new();
-    for shard in service.shards() {
-        rows.extend(
-            shard
-                .catalog()
-                .list()
-                .into_iter()
-                .zip(shard.catalog().storage_report())
-                .map(|((name, n, m), (_, kind, _))| {
-                    format!("  {name}: n = {n}, m = {m}, storage {kind}")
-                }),
-        );
-    }
-    rows.sort();
-    let mut out = format!("pasgal-service listening on {}", server.local_addr());
-    out.push_str(&format!("\nfront end: {}", server.describe()));
+pub fn serve_banner(service: &ShardedService, server: &EventServer) -> String {
+    let rows: Vec<String> = service
+        .list()
+        .into_iter()
+        .map(|(name, n, m, kind, _)| format!("  {name}: n = {n}, m = {m}, storage {kind}"))
+        .collect();
+    let c = server.config();
+    let mut out = format!(
+        "pasgal-service listening on {}\nfront end: {} io threads, {} shards, pipeline depth {}",
+        server.local_addr(),
+        c.io_threads,
+        service.num_shards(),
+        c.pipeline_depth
+    );
     if !rows.is_empty() {
         out.push_str(&format!("\nregistered graphs:\n{}", rows.join("\n")));
     }
     out
 }
 
-/// Build the query service for `pasgal serve`: parse the tuning options,
-/// build the shard fleet, register every positional graph file under its
-/// file stem, and bind the chosen front end. Returns both so the caller
-/// controls their lifetime.
-pub fn start_service(
-    cli: &Cli,
-) -> Result<(std::sync::Arc<pasgal_service::ShardedService>, ServeHandle), String> {
-    use pasgal_service::{EventServer, FrontendConfig, Server, ServiceConfig, ShardedService};
+/// The word given for the `Text` or `Choice` row `name` of
+/// [`SERVE_FLAGS`], else the row's default (`None`: decided per input).
+/// Panics on a name that has no such row.
+fn serve_word<'a>(cli: &'a Cli, name: &str) -> Option<&'a str> {
+    let default = match SERVE_FLAGS.iter().find(|f| f.name == name).map(|f| &f.kind) {
+        Some(FlagKind::Text { default }) => Some(*default),
+        Some(FlagKind::Choice(_)) => None,
+        _ => panic!("--{name} is not a word flag in SERVE_FLAGS"),
+    };
+    cli.options.get(name).map(String::as_str).or(default)
+}
 
-    validate_serve_options(cli).map_err(|e| e.to_string())?;
-    threads_option(cli).map_err(|e| e.to_string())?;
-    drain_option(cli).map_err(|e| e.to_string())?;
+/// The shard and front-end tuning `numbers` asks for. Split from
+/// [`start_service`] so a test can see each flag land in its field.
+fn serve_configs(numbers: &ServeNumbers) -> (ServiceConfig, FrontendConfig) {
+    use std::time::Duration;
+    let value = |name: &str| numbers[name].expect("the row has a default");
     let defaults = ServiceConfig::default();
-    let workers = cli
-        .num("workers", defaults.workers as u64)
-        .map_err(|e| e.to_string())? as usize;
-    let queue = cli
-        .num("queue", defaults.queue_capacity as u64)
-        .map_err(|e| e.to_string())? as usize;
-    let timeout_ms = cli
-        .num("timeout-ms", defaults.query_timeout.as_millis() as u64)
-        .map_err(|e| e.to_string())?;
-    let cache = cli
-        .num("cache", defaults.cache_capacity as u64)
-        .map_err(|e| e.to_string())? as usize;
-    let tau = cli
-        .num("tau", defaults.tau as u64)
-        .map_err(|e| e.to_string())? as usize;
-    if workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
-    if queue == 0 {
-        return Err("--queue must be at least 1".into());
-    }
-    let mut resilience = defaults.resilience.clone();
-    let max_retries = cli
-        .num("max-retries", resilience.max_retries as u64)
-        .map_err(|e| e.to_string())?;
-    if max_retries > 100 {
-        return Err(format!(
-            "--max-retries {max_retries} is not a sane retry budget"
-        ));
-    }
-    resilience.max_retries = max_retries as u32;
-    let threshold = cli
-        .num("breaker-threshold", resilience.breaker_threshold as u64)
-        .map_err(|e| e.to_string())?;
-    if threshold > 1_000_000 {
-        return Err(format!("--breaker-threshold {threshold} is not sane"));
-    }
-    resilience.breaker_threshold = threshold as u32;
-    let cooldown_ms = cli
-        .num(
-            "breaker-cooldown-ms",
-            resilience.breaker_cooldown.as_millis() as u64,
-        )
-        .map_err(|e| e.to_string())?;
-    if cooldown_ms > 600_000 {
-        return Err(format!(
-            "--breaker-cooldown-ms {cooldown_ms} is not a sane cool-down"
-        ));
-    }
-    resilience.breaker_cooldown = std::time::Duration::from_millis(cooldown_ms);
-    let oracle_resident_max = cli
-        .num("oracle-resident", defaults.oracle_resident_max as u64)
-        .map_err(|e| e.to_string())? as usize;
-    let oracle_max_sources = cli
-        .num("oracle-sources", defaults.oracle_max_sources as u64)
-        .map_err(|e| e.to_string())? as usize;
-    if oracle_max_sources == 0 || oracle_max_sources > pasgal_core::multi::MAX_SOURCES {
-        return Err(format!(
-            "--oracle-sources must be 1..={} (got {oracle_max_sources})",
-            pasgal_core::multi::MAX_SOURCES
-        ));
-    }
-    let default_deadline_ms = cli
-        .num("default-deadline-ms", 0)
-        .map_err(|e| e.to_string())?;
-    if cli.options.contains_key("default-deadline-ms")
-        && !(1..=86_400_000).contains(&default_deadline_ms)
-    {
-        return Err(format!(
-            "--default-deadline-ms must be 1..=86400000 (got {default_deadline_ms})"
-        ));
-    }
-    let memory_budget_mb = cli.num("memory-budget-mb", 0).map_err(|e| e.to_string())?;
-    if cli.options.contains_key("memory-budget-mb") && !(1..=1_048_576).contains(&memory_budget_mb)
-    {
-        return Err(format!(
-            "--memory-budget-mb must be 1..=1048576 (got {memory_budget_mb})"
-        ));
-    }
-    let compact_delta_kb = cli
-        .num(
-            "compact-delta-kb",
-            (defaults.compact_delta_bytes / 1024) as u64,
-        )
-        .map_err(|e| e.to_string())?;
-    if compact_delta_kb == 0 {
-        return Err("--compact-delta-kb must be at least 1".into());
-    }
-    let incremental_invalidation = match cli.opt("invalidation", "incremental") {
-        "incremental" => true,
-        "nuke" => false,
-        other => {
-            return Err(format!(
-                "--invalidation must be incremental or nuke (got {other})"
-            ));
-        }
-    };
     let config = ServiceConfig {
-        workers,
-        queue_capacity: queue,
-        query_timeout: std::time::Duration::from_millis(timeout_ms),
-        cache_capacity: cache.max(1),
-        tau: tau.max(1),
-        resilience,
-        oracle_resident_max,
-        oracle_max_sources,
-        default_deadline: (default_deadline_ms > 0)
-            .then(|| std::time::Duration::from_millis(default_deadline_ms)),
-        memory_budget: (memory_budget_mb > 0).then_some(memory_budget_mb * 1024 * 1024),
-        compact_delta_bytes: compact_delta_kb as usize * 1024,
-        incremental_invalidation,
-        ..ServiceConfig::default()
+        workers: value("workers") as usize,
+        queue_capacity: value("queue") as usize,
+        query_timeout: Duration::from_millis(value("timeout-ms")),
+        cache_capacity: value("cache") as usize,
+        tau: value("tau") as usize,
+        resilience: pasgal_service::ResilienceConfig {
+            max_retries: value("max-retries") as u32,
+            breaker_threshold: value("breaker-threshold") as u32,
+            breaker_cooldown: Duration::from_millis(value("breaker-cooldown-ms")),
+            ..defaults.resilience
+        },
+        oracle_resident_max: value("oracle-resident") as usize,
+        oracle_max_sources: value("oracle-sources") as usize,
+        default_deadline: numbers["default-deadline-ms"].map(Duration::from_millis),
+        memory_budget: numbers["memory-budget-mb"].map(|mb| mb * 1024 * 1024),
+        compact_delta_bytes: value("compact-delta-kb") as usize * 1024,
+        ..defaults
     };
-    let storage = match (cli.options.get("storage"), cli.options.contains_key("mmap")) {
-        (Some(s), true) if s != "mmap" => {
-            return Err(format!("--mmap conflicts with --storage {s}"));
-        }
-        (Some(s), _) => {
-            if !matches!(s.as_str(), "plain" | "compressed" | "mmap") {
-                return Err(format!(
-                    "--storage must be plain, compressed, or mmap (got {s})"
-                ));
-            }
-            Some(s.as_str())
-        }
-        (None, true) => Some("mmap"),
-        (None, false) => None,
+    let frontend = FrontendConfig {
+        io_threads: value("io-threads") as usize,
+        pipeline_depth: value("pipeline-depth") as usize,
+        ..FrontendConfig::default()
     };
-    let event_frontend = match cli.opt("frontend", "event") {
-        "event" => true,
-        "threads" => false,
-        other => {
-            return Err(format!("--frontend must be event or threads (got {other})"));
-        }
-    };
-    let shards = cli.num("shards", 1).map_err(|e| e.to_string())? as usize;
-    if !(1..=64).contains(&shards) {
-        return Err(format!("--shards must be 1..=64 (got {shards})"));
-    }
-    let io_threads = cli.num("io-threads", 0).map_err(|e| e.to_string())? as usize;
-    if cli.options.contains_key("io-threads") && !(1..=64).contains(&io_threads) {
-        return Err(format!("--io-threads must be 1..=64 (got {io_threads})"));
-    }
-    let pipeline_depth = cli.num("pipeline-depth", 128).map_err(|e| e.to_string())? as usize;
-    if !(1..=4096).contains(&pipeline_depth) {
-        return Err(format!(
-            "--pipeline-depth must be 1..=4096 (got {pipeline_depth})"
-        ));
-    }
-    if !event_frontend {
-        if shards != 1 {
-            return Err(
-                "--shards needs the event front end (--frontend threads serves one shard)".into(),
-            );
-        }
-        for key in ["io-threads", "pipeline-depth"] {
-            if cli.options.contains_key(key) {
-                return Err(format!("--{key} only applies to --frontend event"));
-            }
-        }
-    }
-    let sharded = std::sync::Arc::new(ShardedService::new(config, shards));
+    (config, frontend)
+}
+
+/// Build the query service for `pasgal serve`: check every option against
+/// `SERVE_FLAGS`, build the shard fleet, register every positional
+/// graph file under its file stem, and bind the front end. Returns both
+/// so the caller controls their lifetime.
+pub fn start_service(cli: &Cli) -> Result<(Arc<ShardedService>, EventServer), String> {
+    let numbers = validate_serve_options(cli).map_err(|e| e.to_string())?;
+    let value = |name: &str| numbers[name].expect("the row has a default");
+    let (config, frontend) = serve_configs(&numbers);
+    let sharded = Arc::new(ShardedService::new(config, value("shards") as usize));
     for file in &cli.positional {
         let name = Path::new(file)
             .file_stem()
             .and_then(|s| s.to_str())
-            .unwrap_or(file.as_str())
-            .to_string();
-        let store = pasgal_service::server::load_store_by_ext(file, storage)?;
-        sharded.register(&name, store);
+            .unwrap_or(file.as_str());
+        let store = io::load_store_by_ext(file, serve_word(cli, "storage"))?;
+        sharded.register(name, store);
     }
-    let host = cli.opt("host", "127.0.0.1");
-    let port = cli.num("port", 7421).map_err(|e| e.to_string())?;
-    let addr = format!("{host}:{port}");
-    let handle = if event_frontend {
-        let mut fc = FrontendConfig::default();
-        if io_threads > 0 {
-            fc.io_threads = io_threads;
-        }
-        fc.pipeline_depth = pipeline_depth;
-        ServeHandle::Event(
-            EventServer::spawn(std::sync::Arc::clone(&sharded), &addr, fc)
-                .map_err(|e| format!("cannot bind {addr}: {e}"))?,
-        )
-    } else {
-        let single = std::sync::Arc::clone(&sharded.shards()[0]);
-        ServeHandle::Threads(
-            Server::spawn(single, &addr).map_err(|e| format!("cannot bind {addr}: {e}"))?,
-        )
-    };
-    Ok((sharded, handle))
+    let host = serve_word(cli, "host").expect("--host has a default");
+    let addr = format!("{host}:{}", value("port"));
+    let server = EventServer::spawn(Arc::clone(&sharded), &addr, frontend)
+        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    Ok((sharded, server))
 }
 
 /// Run a driver-backed algorithm under a `TracingObserver`, returning its
@@ -561,8 +436,9 @@ fn traced<R>(
     (r, tracer.lines().join("\n"))
 }
 
-/// Run a parsed command against a loaded graph world. Returns the text to
-/// print. Separated from IO for testability.
+/// Run a parsed one-shot command (everything but `serve`, which `main`
+/// drives through [`start_service`]) against a loaded graph world.
+/// Returns the text to print. Separated from IO for testability.
 pub fn run(cli: &Cli) -> Result<String, String> {
     use pasgal_core::{bcc, bfs, cc, kcore, scc, sssp};
     use pasgal_graph::transform::symmetrize;
@@ -618,7 +494,7 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             }
             let compress = cli.options.contains_key("compress");
             let force = cli.options.contains_key("force");
-            let g = load_graph(input)?;
+            let g = io::load_graph_by_ext(input)?;
             pasgal_graph::disk::pack_checked(&g, out, compress, force)
                 .map_err(|e| format!("cannot write {out}: {e}"))?;
             let packed_bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
@@ -656,17 +532,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             out.push_str(&format!("{}: container is corrupt", file));
             return Err(out);
         }
-        "serve" => {
-            if cli.options.contains_key("help") {
-                return Ok(serve_help());
-            }
-            let (service, server) = start_service(cli)?;
-            let out = serve_banner(&service, &server);
-            // `run` is the testable core; main keeps the server alive.
-            std::mem::forget(server);
-            std::mem::forget(service);
-            return Ok(out);
-        }
         "stats" | "bfs" | "sssp" | "scc" | "bcc" | "cc" | "kcore" | "ptp" | "oracle"
         | "validate" => {}
         other => return usage_err(&format!("unknown command {other:?}")),
@@ -676,7 +541,7 @@ pub fn run(cli: &Cli) -> Result<String, String> {
         return usage_err("usage: pasgal <command> <graph-file> [options]");
     };
     threads_option(cli).map_err(|e| e.to_string())?;
-    let g = load_graph(file)?;
+    let g = io::load_graph_by_ext(file)?;
     let n = g.num_vertices();
     if n == 0 {
         return usage_err("graph is empty");
@@ -986,11 +851,13 @@ mod tests {
         parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
-    fn write_fixture() -> std::path::PathBuf {
-        let g = pasgal_graph::gen::basic::grid2d(6, 9);
-        let p = std::env::temp_dir().join(format!("pasgal_cli_{}.bin", std::process::id()));
-        pasgal_graph::io::write_bin(&g, &p).unwrap();
-        p
+    /// A 6x9 grid written as `fixture.bin` in a directory of the test's
+    /// own; further scratch files go beside it.
+    fn write_fixture() -> (io::TempDir, std::path::PathBuf) {
+        let dir = io::unique_temp_dir("cli");
+        let p = dir.join("fixture.bin");
+        io::write_bin(&pasgal_graph::gen::basic::grid2d(6, 9), &p).unwrap();
+        (dir, p)
     }
 
     #[test]
@@ -1014,26 +881,21 @@ mod tests {
 
     #[test]
     fn run_bfs_and_variants() {
-        let p = write_fixture();
+        let (_dir, p) = write_fixture();
         let f = p.to_str().unwrap();
         for algo in ["pasgal", "seq", "flat", "gap"] {
             let out = run(&cli(&["bfs", f, "--algo", algo])).unwrap();
             assert!(out.contains("reached 54/54"), "{algo}: {out}");
             assert!(out.contains("eccentricity 13"), "{algo}: {out}");
         }
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn pack_roundtrip_and_query_over_container() {
-        let p = write_fixture();
+        let (dir, p) = write_fixture();
         let f = p.to_str().unwrap();
         for compress in [false, true] {
-            let out_path = std::env::temp_dir().join(format!(
-                "pasgal_cli_pack_{}_{}.pasgal",
-                std::process::id(),
-                compress
-            ));
+            let out_path = dir.join(format!("pack_{compress}.pasgal"));
             let out_file = out_path.to_str().unwrap().to_string();
             let mut args = vec!["pack", f, &out_file];
             if compress {
@@ -1048,20 +910,17 @@ mod tests {
             // query commands decode the container transparently
             let out = run(&cli(&["bfs", &out_file])).unwrap();
             assert!(out.contains("reached 54/54"), "{out}");
-            std::fs::remove_file(&out_path).unwrap();
         }
         // bad extension is rejected before any work happens
         let e = run(&cli(&["pack", f, "out.bin"])).unwrap_err();
         assert!(e.contains(".pasgal"), "{e}");
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn pack_refuses_overwrite_without_force() {
-        let p = write_fixture();
+        let (dir, p) = write_fixture();
         let f = p.to_str().unwrap();
-        let out_path =
-            std::env::temp_dir().join(format!("pasgal_cli_force_{}.pasgal", std::process::id()));
+        let out_path = dir.join("force.pasgal");
         let out_file = out_path.to_str().unwrap().to_string();
         run(&cli(&["pack", f, &out_file])).unwrap();
         let before = std::fs::metadata(&out_path).unwrap().modified().unwrap();
@@ -1080,16 +939,13 @@ mod tests {
         // packing a container onto itself is refused outright
         let e = run(&cli(&["pack", &out_file, &out_file, "--force"])).unwrap_err();
         assert!(e.contains("same file"), "{e}");
-        std::fs::remove_file(&out_path).unwrap();
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn verify_reports_sections_and_flags_corruption() {
-        let p = write_fixture();
+        let (dir, p) = write_fixture();
         let f = p.to_str().unwrap();
-        let out_path =
-            std::env::temp_dir().join(format!("pasgal_cli_verify_{}.pasgal", std::process::id()));
+        let out_path = dir.join("verify.pasgal");
         let out_file = out_path.to_str().unwrap().to_string();
         run(&cli(&["pack", f, &out_file])).unwrap();
 
@@ -1113,52 +969,19 @@ mod tests {
         assert!(e.contains("usage"), "{e}");
         let e = run(&cli(&["verify", "/no/such/file.pasgal"])).unwrap_err();
         assert!(e.contains("cannot read"), "{e}");
-        std::fs::remove_file(&out_path).unwrap();
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
-    fn serve_mutation_flag_validation() {
-        let err = |c: &Cli| start_service(c).err().expect("should fail");
-        let bad = err(&cli(&["serve", "--invalidation", "lazy"]));
-        assert!(bad.contains("incremental or nuke"), "{bad}");
-        let bad = err(&cli(&["serve", "--compact-delta-kb", "0"]));
-        assert!(bad.contains("at least 1"), "{bad}");
-        // valid settings reach the bind step (port 0: ephemeral)
-        let (svc, server) = start_service(&cli(&[
-            "serve",
-            "--port",
-            "0",
-            "--invalidation",
-            "nuke",
-            "--compact-delta-kb",
-            "64",
-        ]))
-        .unwrap();
-        drop(server);
-        drop(svc);
-    }
-
-    #[test]
-    fn serve_storage_flag_validation() {
-        let e = validate_serve_options(&cli(&["serve", "--storage", "zstd"]));
-        assert!(e.is_ok(), "allowlist only checks names: {e:?}");
-        let err = |c: &Cli| start_service(c).err().expect("should fail");
-        let bad = err(&cli(&["serve", "--storage", "zstd"]));
-        assert!(bad.contains("--storage must be"), "{bad}");
-        let conflict = err(&cli(&["serve", "--mmap", "--storage", "plain"]));
-        assert!(conflict.contains("conflicts"), "{conflict}");
-        // --mmap demands container files
-        let p = write_fixture();
-        let f = p.to_str().unwrap();
-        let e = err(&cli(&["serve", "--mmap", f]));
+    fn serve_mmap_storage_demands_container_files() {
+        let (_dir, p) = write_fixture();
+        let c = cli(&["serve", "--storage", "mmap", p.to_str().unwrap()]);
+        let e = start_service(&c).err().expect("should fail");
         assert!(e.contains(".pasgal"), "{e}");
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn run_scc_bcc_cc_kcore() {
-        let p = write_fixture();
+        let (_dir, p) = write_fixture();
         let f = p.to_str().unwrap();
         let out = run(&cli(&["scc", f])).unwrap();
         assert!(out.contains("1 components"), "{out}");
@@ -1168,23 +991,21 @@ mod tests {
         assert!(out.contains("1 components"), "{out}");
         let out = run(&cli(&["kcore", f])).unwrap();
         assert!(out.contains("degeneracy 2"), "{out}");
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn run_sssp_and_ptp() {
-        let p = write_fixture();
+        let (_dir, p) = write_fixture();
         let f = p.to_str().unwrap();
         let out = run(&cli(&["sssp", f])).unwrap();
         assert!(out.contains("max distance 13"), "{out}");
         let out = run(&cli(&["ptp", f, "--dst", "53"])).unwrap();
         assert!(out.contains("distance 13"), "{out}");
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn run_oracle_lookup_and_column_summary() {
-        let p = write_fixture();
+        let (_dir, p) = write_fixture();
         let f = p.to_str().unwrap();
         // point lookup: corner-to-corner on the 6x9 grid is 5 + 8 hops
         let out = run(&cli(&["oracle", f, "--src", "0", "--dst", "53"])).unwrap();
@@ -1208,12 +1029,11 @@ mod tests {
         let out = run(&cli(&["oracle", f])).unwrap();
         assert!(out.contains("reached 54/54"), "{out}");
         assert!(out.contains("eccentricity 13"), "{out}");
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn run_oracle_rejects_bad_sources() {
-        let p = write_fixture();
+        let (_dir, p) = write_fixture();
         let f = p.to_str().unwrap();
         let e = run(&cli(&["oracle", f, "--sources", "0,999"])).unwrap_err();
         assert!(e.contains("out of range"), "{e}");
@@ -1223,12 +1043,11 @@ mod tests {
         // 54 distinct sources fit (MAX_SOURCES = 128); no error expected
         let out = run(&cli(&["oracle", f, "--sources", &many.join(",")])).unwrap();
         assert!(out.contains("54 sources in one flight"), "{out}");
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn trace_rounds_emits_per_round_lines() {
-        let p = write_fixture();
+        let (_dir, p) = write_fixture();
         let f = p.to_str().unwrap();
         for cmd in ["bfs", "sssp", "scc", "bcc", "cc", "kcore"] {
             let out = run(&cli(&[cmd, f, "--trace-rounds"])).unwrap();
@@ -1247,43 +1066,39 @@ mod tests {
         // implementations that bypass the round driver are rejected
         let e = run(&cli(&["bfs", f, "--algo", "seq", "--trace-rounds"])).unwrap_err();
         assert!(e.contains("--trace-rounds"), "{e}");
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn run_stats() {
-        let p = write_fixture();
+        let (_dir, p) = write_fixture();
         let out = run(&cli(&["stats", p.to_str().unwrap()])).unwrap();
         assert!(out.contains("n = 54"), "{out}");
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn run_validate() {
-        let p = write_fixture();
+        let (_dir, p) = write_fixture();
         let out = run(&cli(&["validate", p.to_str().unwrap()])).unwrap();
         assert!(out.contains("valid"), "{out}");
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn run_gen_roundtrip() {
-        let p = std::env::temp_dir().join(format!("pasgal_gen_{}.adj", std::process::id()));
+        let dir = io::unique_temp_dir("cli");
+        let p = dir.join("gen.adj");
         let out = run(&cli(&["gen", "LJ", p.to_str().unwrap(), "--scale", "tiny"])).unwrap();
         assert!(out.contains("wrote"), "{out}");
-        let g = load_graph(p.to_str().unwrap()).unwrap();
+        let g = io::load_graph_by_ext(p.to_str().unwrap()).unwrap();
         assert!(g.num_vertices() > 0);
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn run_rejects_bad_input() {
         assert!(run(&cli(&["nope", "x"])).is_err());
         assert!(run(&cli(&["bfs", "/no/such/file.adj"])).is_err());
-        let p = write_fixture();
+        let (_dir, p) = write_fixture();
         let e = run(&cli(&["bfs", p.to_str().unwrap(), "--src", "999999"]));
         assert!(e.is_err());
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
@@ -1298,426 +1113,207 @@ mod tests {
         assert!(threads_option(&cli(&["bfs", "g", "--threads", "-3"])).is_err());
         assert!(threads_option(&cli(&["bfs", "g", "--threads", "99999"])).is_err());
         // run() surfaces the same error instead of silently ignoring it
-        let p = write_fixture();
+        let (_dir, p) = write_fixture();
         let e = run(&cli(&["bfs", p.to_str().unwrap(), "--threads", "0"]));
         assert!(e.is_err(), "{e:?}");
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn dst_out_of_range_is_usage_error() {
-        let p = write_fixture();
+        let (_dir, p) = write_fixture();
         let f = p.to_str().unwrap();
         let e = run(&cli(&["ptp", f, "--dst", "54"])).unwrap_err();
         assert!(e.contains("out of range"), "{e}");
         let e = run(&cli(&["ptp", f, "--dst", "x"])).unwrap_err();
         assert!(e.contains("expects a number"), "{e}");
-        std::fs::remove_file(&p).unwrap();
     }
 
+    /// The whole life of `serve` as `main` drives it, minus the signal:
+    /// flags reach the fleet and the front end, `--port 0` resolves in the
+    /// banner and the API, positional graphs register under their stem,
+    /// the service answers, and shutdown drains within `--drain-ms`.
     #[test]
-    fn serve_starts_and_answers_over_tcp() {
+    fn serve_starts_answers_over_tcp_and_drains() {
         use std::io::{BufRead, BufReader, Write};
 
-        let p = write_fixture();
-        let out = run(&cli(&[
+        let (_dir, p) = write_fixture();
+        let c = cli(&[
             "serve",
             p.to_str().unwrap(),
             "--port",
             "0",
             "--workers",
             "2",
-        ]))
-        .unwrap();
-        assert!(out.contains("listening on"), "{out}");
-        let addr = out
-            .lines()
-            .next()
-            .unwrap()
-            .rsplit(' ')
-            .next()
-            .unwrap()
-            .to_string();
-        // graph registered under its file stem
-        let stem = p.file_stem().unwrap().to_str().unwrap();
-        assert!(out.contains(stem), "{out}");
-
-        let stream = std::net::TcpStream::connect(&addr).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        writer
-            .write_all(
-                format!("{{\"op\":\"bfs\",\"graph\":{stem:?},\"src\":0,\"target\":53}}\n")
-                    .as_bytes(),
-            )
-            .unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("\"dist\":13"), "{line}");
-        std::fs::remove_file(&p).unwrap();
-    }
-
-    #[test]
-    fn serve_rejects_bad_options() {
-        assert!(run(&cli(&["serve", "--workers", "0"])).is_err());
-        assert!(run(&cli(&["serve", "--queue", "0"])).is_err());
-        assert!(run(&cli(&["serve", "/no/such/graph.bin", "--port", "0"])).is_err());
-        assert!(run(&cli(&["serve", "--port", "99999999"])).is_err());
-        assert!(run(&cli(&["serve", "--drain-ms", "abc"])).is_err());
-        assert!(run(&cli(&["serve", "--drain-ms", "9999999999"])).is_err());
-        assert!(run(&cli(&["serve", "--max-retries", "abc"])).is_err());
-        assert!(run(&cli(&["serve", "--max-retries", "101"])).is_err());
-        assert!(run(&cli(&["serve", "--breaker-threshold", "nope"])).is_err());
-        assert!(run(&cli(&["serve", "--breaker-cooldown-ms", "9999999"])).is_err());
-        assert!(run(&cli(&["serve", "--oracle-sources", "0"])).is_err());
-        assert!(run(&cli(&["serve", "--oracle-sources", "129"])).is_err());
-        assert!(run(&cli(&["serve", "--oracle-resident", "abc"])).is_err());
-        assert!(run(&cli(&["serve", "--default-deadline-ms", "0"])).is_err());
-        assert!(run(&cli(&["serve", "--default-deadline-ms", "abc"])).is_err());
-        assert!(run(&cli(&["serve", "--default-deadline-ms", "99999999999"])).is_err());
-        assert!(run(&cli(&["serve", "--memory-budget-mb", "0"])).is_err());
-        assert!(run(&cli(&["serve", "--memory-budget-mb", "abc"])).is_err());
-        assert!(run(&cli(&["serve", "--memory-budget-mb", "9999999"])).is_err());
-        assert!(run(&cli(&["serve", "--frontend", "epoll"])).is_err());
-        assert!(run(&cli(&["serve", "--shards", "0"])).is_err());
-        assert!(run(&cli(&["serve", "--shards", "65"])).is_err());
-        assert!(run(&cli(&["serve", "--io-threads", "0"])).is_err());
-        assert!(run(&cli(&["serve", "--io-threads", "999"])).is_err());
-        assert!(run(&cli(&["serve", "--pipeline-depth", "0"])).is_err());
-        assert!(run(&cli(&["serve", "--pipeline-depth", "99999"])).is_err());
-        // event-only tuning is rejected with the baseline front end
-        let e = run(&cli(&["serve", "--frontend", "threads", "--shards", "2"])).unwrap_err();
-        assert!(e.contains("event front end"), "{e}");
-        let e = run(&cli(&[
-            "serve",
-            "--frontend",
-            "threads",
-            "--io-threads",
-            "2",
-        ]))
-        .unwrap_err();
-        assert!(e.contains("--frontend event"), "{e}");
-        let e = run(&cli(&[
-            "serve",
-            "--frontend",
-            "threads",
-            "--pipeline-depth",
-            "8",
-        ]))
-        .unwrap_err();
-        assert!(e.contains("--frontend event"), "{e}");
-    }
-
-    #[test]
-    fn serve_threads_frontend_still_answers_over_tcp() {
-        use std::io::{BufRead, BufReader, Write};
-
-        let (service, mut server) = start_service(&cli(&[
-            "serve",
-            "--port",
-            "0",
-            "--workers",
-            "1",
-            "--frontend",
-            "threads",
-        ]))
-        .unwrap();
-        assert!(matches!(server, ServeHandle::Threads(_)));
-        service.register("g", pasgal_graph::gen::basic::grid2d(6, 9));
-        let banner = serve_banner(&service, &server);
-        assert!(banner.contains("front end: threads"), "{banner}");
-        let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        writer
-            .write_all(b"{\"op\":\"bfs\",\"graph\":\"g\",\"src\":0,\"target\":53}\n")
-            .unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("\"dist\":13"), "{line}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn serve_port_zero_resolves_in_banner_and_api() {
-        // satellite: --port 0 must surface the real ephemeral port both
-        // in the banner text and through the serve API, on either front end
-        for frontend in ["event", "threads"] {
-            let (service, mut server) = start_service(&cli(&[
-                "serve",
-                "--port",
-                "0",
-                "--workers",
-                "1",
-                "--frontend",
-                frontend,
-            ]))
-            .unwrap();
-            let port = server.port();
-            assert_ne!(port, 0, "{frontend}: port 0 must resolve");
-            assert_eq!(server.local_addr().port(), port);
-            let banner = serve_banner(&service, &server);
-            let first = banner.lines().next().unwrap();
-            assert!(
-                first.ends_with(&format!(":{port}")),
-                "{frontend}: banner must end with the resolved port: {first}"
-            );
-            assert!(!first.contains(":0"), "{frontend}: {first}");
-            server.shutdown();
-        }
-    }
-
-    #[test]
-    fn serve_event_frontend_shards_and_answers_binary() {
-        use pasgal_service::{FrameBuf, WireMode};
-        use std::io::{Read as _, Write};
-
-        let (service, mut server) = start_service(&cli(&[
-            "serve",
-            "--port",
-            "0",
-            "--workers",
-            "2",
             "--shards",
             "2",
             "--io-threads",
             "1",
             "--pipeline-depth",
             "16",
-        ]))
-        .unwrap();
-        assert_eq!(service.num_shards(), 2);
-        let banner = serve_banner(&service, &server);
-        assert!(banner.contains("2 shards"), "{banner}");
-        assert!(banner.contains("pipeline depth 16"), "{banner}");
-        service.register("g", pasgal_graph::gen::basic::grid2d(6, 9));
-
-        // binary protocol straight through the CLI-built stack
-        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        let mut msg = pasgal_service::protocol::BINARY_MAGIC.to_vec();
-        pasgal_service::protocol::encode_binary_request(
-            pasgal_service::protocol::TAG_BFS,
-            "g",
-            0,
-            Some(53),
-            None,
-            &mut msg,
-        );
-        stream.write_all(&msg).unwrap();
-        let mut frames = FrameBuf::with_mode(WireMode::Binary);
-        let mut buf = [0u8; 4096];
-        loop {
-            let n = stream.read(&mut buf).unwrap();
-            assert!(n > 0, "server closed before answering");
-            frames.push(&buf[..n]);
-            if let Some(frame) = frames.next_frame().unwrap() {
-                let reply = pasgal_service::protocol::decode_binary_response(&frame).unwrap();
-                assert_eq!(
-                    reply.get("dist").and_then(|d| d.as_u64()),
-                    Some(13),
-                    "{reply}"
-                );
-                break;
-            }
-        }
-        server.shutdown();
-    }
-
-    /// Every flag `start_service` parses must appear in [`SERVE_FLAGS`],
-    /// and every listed flag must be accepted with a sane value: the
-    /// allowlist and the parser cannot drift apart in either direction.
-    #[test]
-    fn serve_flags_match_what_start_service_parses() {
-        // Keep in sync with the cli.num/cli.opt calls in start_service
-        // (plus the bare flags serve accepts for symmetry).
-        let parsed = [
-            "host",
-            "port",
-            "frontend",
-            "io-threads",
-            "shards",
-            "pipeline-depth",
-            "workers",
-            "queue",
-            "timeout-ms",
-            "cache",
-            "tau",
-            "threads",
-            "max-retries",
-            "breaker-threshold",
-            "breaker-cooldown-ms",
-            "oracle-resident",
-            "oracle-sources",
-            "default-deadline-ms",
-            "memory-budget-mb",
-            "compact-delta-kb",
-            "invalidation",
-            "storage",
-            "mmap",
-            "drain-ms",
-            "trace-rounds",
-            "help",
-        ];
-        for name in parsed {
-            assert!(
-                SERVE_FLAGS
-                    .iter()
-                    .any(|(f, _)| f.split_whitespace().next() == Some(name)),
-                "start_service parses --{name} but SERVE_FLAGS does not list it"
-            );
-        }
-        for (flag, _) in SERVE_FLAGS {
-            let name = flag.split_whitespace().next().unwrap();
-            assert!(
-                parsed.contains(&name),
-                "SERVE_FLAGS lists --{name} but start_service never reads it"
-            );
-        }
-        // And the whole allowlist is accepted at once with sane values.
-        let (_svc, mut server) = start_service(&cli(&[
-            "serve",
-            "--host",
-            "127.0.0.1",
-            "--port",
-            "0",
-            "--frontend",
-            "event",
-            "--io-threads",
-            "2",
-            "--shards",
-            "2",
-            "--pipeline-depth",
-            "64",
-            "--workers",
-            "2",
-            "--queue",
-            "4",
-            "--timeout-ms",
-            "10000",
-            "--cache",
-            "16",
-            "--tau",
-            "128",
-            "--max-retries",
-            "1",
-            "--breaker-threshold",
-            "3",
-            "--breaker-cooldown-ms",
-            "100",
-            "--oracle-resident",
-            "64",
-            "--oracle-sources",
-            "16",
-            "--default-deadline-ms",
-            "60000",
-            "--memory-budget-mb",
-            "64",
             "--drain-ms",
-            "1000",
-            "--trace-rounds",
-        ]))
-        .unwrap();
-        server.shutdown();
-    }
-
-    #[test]
-    fn serve_default_deadline_flag_reaches_the_service() {
-        // A 60 s default deadline is roomy: queries still succeed, which
-        // proves the flag parses and the service accepts the config.
-        let (service, mut server) = start_service(&cli(&[
-            "serve",
-            "--port",
-            "0",
-            "--workers",
-            "1",
-            "--default-deadline-ms",
-            "60000",
-            "--memory-budget-mb",
-            "512",
-        ]))
-        .unwrap();
-        service.register("g", pasgal_graph::gen::basic::grid2d(6, 9));
-        let r = pasgal_service::server::handle_line(
-            service.shard_for("g"),
-            r#"{"op":"bfs","graph":"g","src":0,"target":53}"#,
-        );
-        assert!(r.to_string().contains("\"dist\":13"), "{r}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn serve_rejects_unknown_flags_instead_of_ignoring_them() {
-        // a typo'd tuning flag must not silently run with defaults
-        let err = run(&cli(&["serve", "--breaker-treshold", "3"])).unwrap_err();
-        assert!(err.contains("unknown serve option"), "{err}");
-        assert!(err.contains("breaker-treshold"), "{err}");
-        let err = run(&cli(&["serve", "--cache-size", "9"])).unwrap_err();
-        assert!(err.contains("unknown serve option"), "{err}");
-        // validate_serve_options itself reports UsageError
-        assert!(validate_serve_options(&cli(&["serve", "--frobnicate", "1"])).is_err());
-    }
-
-    #[test]
-    fn serve_help_lists_every_tuning_flag() {
-        let help = run(&cli(&["serve", "--help"])).unwrap();
-        // every allowlisted flag appears in the help text, and the help
-        // text mentions no flag outside the allowlist (no drift)
-        for (flag, _) in SERVE_FLAGS {
-            let name = flag.split_whitespace().next().unwrap();
-            assert!(
-                help.contains(&format!("--{name}")),
-                "missing --{name}:\n{help}"
-            );
+            "2000",
+        ]);
+        let (service, mut server) = start_service(&c).unwrap();
+        assert_eq!(service.num_shards(), 2);
+        let port = server.local_addr().port();
+        assert_ne!(port, 0, "port 0 must resolve");
+        let banner = serve_banner(&service, &server);
+        let first = banner.lines().next().unwrap();
+        assert!(first.starts_with("pasgal-service listening on"), "{first}");
+        assert!(first.ends_with(&format!(":{port}")), "{first}");
+        for want in [
+            "1 io threads",
+            "2 shards",
+            "pipeline depth 16",
+            "fixture: n = 54",
+        ] {
+            assert!(banner.contains(want), "{want}: {banner}");
         }
-        for known in ["--drain-ms", "--trace-rounds", "--max-retries"] {
-            assert!(help.contains(known), "missing {known}:\n{help}");
-        }
-        for line in help.lines() {
-            if let Some(rest) = line.trim_start().strip_prefix("--") {
-                let name = rest.split_whitespace().next().unwrap();
-                assert!(
-                    SERVE_FLAGS
-                        .iter()
-                        .any(|(f, _)| f.split_whitespace().next() == Some(name)),
-                    "help drift: --{name} not in SERVE_FLAGS"
-                );
-            }
-        }
-    }
 
-    #[test]
-    fn serve_accepts_resilience_flags_and_answers_health() {
-        use std::io::{BufRead, BufReader, Write};
-
-        let (_service, mut server) = start_service(&cli(&[
-            "serve",
-            "--port",
-            "0",
-            "--workers",
-            "1",
-            "--max-retries",
-            "0",
-            "--breaker-threshold",
-            "2",
-            "--breaker-cooldown-ms",
-            "50",
-            "--oracle-resident",
-            "64",
-            "--oracle-sources",
-            "32",
-        ]))
-        .unwrap();
         let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
-        writer.write_all(b"{\"op\":\"health\"}\n").unwrap();
-        writer.flush().unwrap();
+        writer
+            .write_all(b"{\"op\":\"bfs\",\"graph\":\"fixture\",\"src\":0,\"target\":53}\n")
+            .unwrap();
         let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"dist\":13"), "{line}");
+        // --workers reached the fleet: 2 over 2 shards, one each
+        writer.write_all(b"{\"op\":\"health\"}\n").unwrap();
+        line.clear();
         reader.read_line(&mut line).unwrap();
         assert!(line.contains("\"ready\":true"), "{line}");
-        assert!(line.contains("\"workers\":1"), "{line}");
+        assert!(line.contains("\"workers\":2"), "{line}");
+
+        let t0 = std::time::Instant::now();
+        server.shutdown_with_deadline(drain_option(&c).unwrap());
+        assert!(t0.elapsed() < std::time::Duration::from_secs(5));
+        // the drained connection is closed, not left hanging
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0);
+    }
+
+    #[test]
+    fn serve_rejects_unloadable_graphs_and_unbindable_hosts() {
+        let err = |c: &Cli| start_service(c).err().expect("should fail");
+        let e = err(&cli(&["serve", "/no/such/graph.bin", "--port", "0"]));
+        assert!(e.contains("cannot read"), "{e}");
+        let e = err(&cli(&["serve", "--host", "no.such.host.invalid"]));
+        assert!(e.contains("cannot bind"), "{e}");
+    }
+
+    /// Every row of [`SERVE_FLAGS`] accepts a value of its kind and
+    /// rejects one outside it, and a name outside the table is unknown,
+    /// not ignored.
+    #[test]
+    fn every_serve_flag_takes_a_valid_value_and_rejects_an_invalid_one() {
+        let check = |args: &[&str]| {
+            let mut full = vec!["serve"];
+            full.extend_from_slice(args);
+            validate_serve_options(&cli(&full))
+        };
+        let mut all_valid: Vec<String> = vec!["serve".into()];
+        for flag in SERVE_FLAGS {
+            let name = format!("--{}", flag.name);
+            let (valid, invalid): (Vec<String>, Vec<String>) = match flag.kind {
+                FlagKind::Num { lo, hi, .. } => (
+                    vec![lo.to_string(), hi.to_string()],
+                    // `lo - 1` is -1 for the rows that start at 0
+                    vec![
+                        (hi + 1).to_string(),
+                        "abc".into(),
+                        (lo as i64 - 1).to_string(),
+                    ],
+                ),
+                FlagKind::Choice(words) => (
+                    words.iter().map(|w| w.to_string()).collect(),
+                    vec!["nope".into()],
+                ),
+                FlagKind::Text { default } => (vec![default.to_string()], vec![]),
+                FlagKind::Bare => {
+                    assert!(check(&[&name]).is_ok(), "{name}");
+                    continue;
+                }
+            };
+            for v in &valid {
+                assert!(check(&[&name, v]).is_ok(), "{name} {v}");
+            }
+            for v in &invalid {
+                let e = check(&[&name, v]).expect_err(&format!("{name} {v}"));
+                assert!(e.0.contains(&name), "{e}");
+                // the service refuses to start on it, too
+                assert!(start_service(&cli(&["serve", &name, v])).is_err());
+            }
+            // port 0, everything else at its smallest: bindable and cheap
+            all_valid.extend([name, valid[0].clone()]);
+        }
+        let (_svc, mut server) = start_service(&parse_args(&all_valid).unwrap()).unwrap();
         server.shutdown();
+
+        // a typo, or a flag this table dropped, must not silently run
+        // with defaults
+        for unknown in "breaker-treshold frontend invalidation mmap trace-rounds".split(' ') {
+            let e = check(&[&format!("--{unknown}"), "x"]).unwrap_err();
+            assert!(e.0.contains("unknown serve option"), "{unknown}: {e}");
+            assert!(e.0.contains(unknown), "{e}");
+        }
+        assert_eq!(SERVE_FLAGS.len(), 22);
+    }
+
+    /// Every number reaches the field it names. The rows get distinct
+    /// values, so a read of the wrong row, or a dropped one, shows.
+    #[test]
+    fn every_serve_number_lands_in_its_config_field() {
+        let mut args = vec!["serve".to_string()];
+        let mut given = HashMap::new();
+        for (i, flag) in SERVE_FLAGS.iter().enumerate() {
+            if let FlagKind::Num { .. } = flag.kind {
+                given.insert(flag.name, 2 + i as u64);
+                args.extend([format!("--{}", flag.name), (2 + i).to_string()]);
+            }
+        }
+        let numbers = validate_serve_options(&parse_args(&args).unwrap()).unwrap();
+        let (s, f) = serve_configs(&numbers);
+        let ms = |d: std::time::Duration| d.as_millis() as u64;
+        let landed = [
+            ("io-threads", f.io_threads as u64),
+            ("pipeline-depth", f.pipeline_depth as u64),
+            ("workers", s.workers as u64),
+            ("queue", s.queue_capacity as u64),
+            ("timeout-ms", ms(s.query_timeout)),
+            ("cache", s.cache_capacity as u64),
+            ("tau", s.tau as u64),
+            ("max-retries", s.resilience.max_retries.into()),
+            ("breaker-threshold", s.resilience.breaker_threshold.into()),
+            ("breaker-cooldown-ms", ms(s.resilience.breaker_cooldown)),
+            ("oracle-resident", s.oracle_resident_max as u64),
+            ("oracle-sources", s.oracle_max_sources as u64),
+            ("default-deadline-ms", ms(s.default_deadline.unwrap())),
+            ("memory-budget-mb", s.memory_budget.unwrap() >> 20),
+            ("compact-delta-kb", s.compact_delta_bytes as u64 >> 10),
+        ];
+        for (name, got) in landed {
+            assert_eq!(got, given[name], "--{name}");
+        }
+        // the other four act elsewhere: port and shards in `start_service`
+        // (seen in the banner above), threads and drain-ms in `main`
+        assert_eq!(landed.len() + 4, given.len());
+    }
+
+    #[test]
+    fn serve_help_lists_exactly_the_table() {
+        let help = serve_help();
+        let listed: Vec<&str> = help
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix("--"))
+            .map(|rest| rest.split_whitespace().next().unwrap())
+            .collect();
+        let table: Vec<&str> = SERVE_FLAGS.iter().map(|f| f.name).collect();
+        assert_eq!(listed, table, "{help}");
+        // ranges and defaults come from the rows, not from prose
+        assert!(help.contains("[0..=65535, default 7421]"), "{help}");
+        assert!(help.contains("--storage plain|compressed|mmap"), "{help}");
     }
 
     #[test]
@@ -1736,42 +1332,5 @@ mod tests {
             Duration::from_millis(250)
         );
         assert!(drain_option(&cli(&["serve", "--drain-ms", "700000"])).is_err());
-    }
-
-    #[test]
-    fn serve_shutdown_with_deadline_via_cli_options() {
-        // The full path main() takes on SIGTERM, minus the signal itself:
-        // start, answer one query, then drain-shutdown within the deadline.
-        use std::io::{BufRead, BufReader, Write};
-        use std::time::Duration;
-
-        let c = cli(&[
-            "serve",
-            "--port",
-            "0",
-            "--workers",
-            "1",
-            "--drain-ms",
-            "2000",
-        ]);
-        let drain = drain_option(&c).unwrap();
-        let (service, mut server) = start_service(&c).unwrap();
-        let banner = serve_banner(&service, &server);
-        assert!(banner.contains("listening on"), "{banner}");
-
-        let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        writer.write_all(b"{\"op\":\"metrics\"}\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("\"ok\":true"), "{line}");
-
-        let t0 = std::time::Instant::now();
-        server.shutdown_with_deadline(drain);
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        // the drained connection is closed, not left hanging
-        line.clear();
-        assert_eq!(reader.read_line(&mut line).unwrap(), 0);
     }
 }

@@ -57,13 +57,8 @@ fn main() {
              commands: bfs sssp scc bcc cc kcore ptp stats validate gen pack verify serve\n\
              options:  --algo NAME --src N --dst N --tau N --delta N\n\
                        --threads N --scale tiny|small|full\n\
-             serve:    --host H --port N --workers N --queue N\n\
-                       --timeout-ms N --cache N --drain-ms N\n\
-                       --max-retries N --breaker-threshold N\n\
-                       --breaker-cooldown-ms N --frontend event|threads\n\
-                       --io-threads N --shards N --pipeline-depth N\n\
-                       (graphs register by stem; SIGINT/SIGTERM drains;\n\
-                       `pasgal serve --help` details every flag)\n\
+             serve:    graphs register by stem; SIGINT/SIGTERM drains;\n\
+                       `pasgal serve --help` lists every flag\n\
              formats:  .adj (PBBS text), .bin (binary CSR), else edge list\n\
              examples: pasgal gen NA road.bin && pasgal bfs road.bin --src 0\n\
                        pasgal serve road.bin --port 7421"

@@ -150,23 +150,15 @@ pub(crate) fn read_edge_labels<S: GraphStorage>(
 
 /// FAST-BCC. Requires a symmetric graph.
 pub fn bcc_fast<S: GraphStorage>(g: &S) -> BccResult {
-    bcc_fast_cancel(g, &CancelToken::new()).expect("fresh token cannot cancel")
+    bcc_fast_observed(g, &CancelToken::new(), &NoopObserver).expect("fresh token cannot cancel")
 }
 
-/// Cancellable [`bcc_fast`]: with no round loop to poll (the pipeline is
-/// five bounded phases), the token is checked at every phase boundary —
+/// Cancellable [`bcc_fast`] with per-round observation: each of the five
+/// pipeline phases is one round, so exactly five
+/// [`crate::engine::RoundEvent`]s are emitted on an uncancelled run. With
+/// no round loop to poll, the token is checked at every phase boundary —
 /// each phase is a single `O(n + m)` sweep, so this is the same "within
 /// one round" granularity the frontier algorithms give.
-pub fn bcc_fast_cancel<S: GraphStorage>(
-    g: &S,
-    cancel: &CancelToken,
-) -> Result<BccResult, Cancelled> {
-    bcc_fast_observed(g, cancel, &NoopObserver)
-}
-
-/// [`bcc_fast`] with per-round observation: each of the five pipeline
-/// phases is one round, so exactly five [`crate::engine::RoundEvent`]s
-/// are emitted on an uncancelled run.
 pub fn bcc_fast_observed<S: GraphStorage>(
     g: &S,
     cancel: &CancelToken,
@@ -290,8 +282,11 @@ mod tests {
         let g = grid2d(30, 30);
         let t = CancelToken::new();
         t.cancel();
-        assert!(matches!(bcc_fast_cancel(&g, &t), Err(Cancelled)));
-        let ok = bcc_fast_cancel(&g, &CancelToken::new()).unwrap();
+        assert!(matches!(
+            bcc_fast_observed(&g, &t, &NoopObserver),
+            Err(Cancelled)
+        ));
+        let ok = bcc_fast_observed(&g, &CancelToken::new(), &NoopObserver).unwrap();
         assert_eq!(ok.num_bccs, bcc_hopcroft_tarjan(&g).num_bccs);
     }
 

@@ -94,35 +94,15 @@ pub fn bfs_vgc_dir<S: GraphStorage>(
     incoming: Option<&S>,
     cfg: &VgcConfig,
 ) -> BfsResult {
-    bfs_vgc_dir_cancel(g, src, incoming, cfg, &CancelToken::new())
+    bfs_vgc_dir_observed(g, src, incoming, cfg, &CancelToken::new(), &NoopObserver)
         .expect("fresh token cannot cancel")
 }
 
-/// Cancellable [`bfs_vgc`]: stops within one round of `cancel` firing.
-pub fn bfs_vgc_cancel<S: GraphStorage>(
-    g: &S,
-    src: VertexId,
-    cfg: &VgcConfig,
-    cancel: &CancelToken,
-) -> Result<BfsResult, Cancelled> {
-    bfs_vgc_dir_cancel(g, src, None, cfg, cancel)
-}
-
-/// Cancellable [`bfs_vgc_dir`]. The token is polled once per round and
-/// once per frontier task; a fired token aborts the traversal and
-/// returns `Err(Cancelled)` without finishing the round's spills.
-pub fn bfs_vgc_dir_cancel<S: GraphStorage>(
-    g: &S,
-    src: VertexId,
-    incoming: Option<&S>,
-    cfg: &VgcConfig,
-    cancel: &CancelToken,
-) -> Result<BfsResult, Cancelled> {
-    bfs_vgc_dir_observed(g, src, incoming, cfg, cancel, &NoopObserver)
-}
-
-/// [`bfs_vgc_dir`] with per-round observation: one
+/// Cancellable [`bfs_vgc_dir`] with per-round observation: one
 /// [`crate::engine::RoundEvent`] per processed window (dense or sparse).
+/// The token is polled once per round and once per frontier task; a
+/// fired token aborts the traversal and returns `Err(Cancelled)` without
+/// finishing the round's spills.
 pub fn bfs_vgc_dir_observed<S: GraphStorage>(
     g: &S,
     src: VertexId,
@@ -495,11 +475,19 @@ mod tests {
         let t = CancelToken::new();
         t.cancel();
         assert_eq!(
-            bfs_vgc_cancel(&g, 0, &VgcConfig::with_tau(4), &t),
+            bfs_vgc_dir_observed(&g, 0, None, &VgcConfig::with_tau(4), &t, &NoopObserver),
             Err(Cancelled)
         );
         // an unfired token changes nothing
-        let got = bfs_vgc_cancel(&g, 0, &VgcConfig::default(), &CancelToken::new()).unwrap();
+        let got = bfs_vgc_dir_observed(
+            &g,
+            0,
+            None,
+            &VgcConfig::default(),
+            &CancelToken::new(),
+            &NoopObserver,
+        )
+        .unwrap();
         assert_eq!(got.dist, bfs_seq(&g, 0).dist);
     }
 
@@ -508,7 +496,7 @@ mod tests {
         let g = path_directed(3000);
         let t = CancelToken::at(std::time::Instant::now());
         assert_eq!(
-            bfs_vgc_cancel(&g, 0, &VgcConfig::with_tau(1), &t),
+            bfs_vgc_dir_observed(&g, 0, None, &VgcConfig::with_tau(1), &t, &NoopObserver),
             Err(Cancelled)
         );
     }

@@ -39,21 +39,13 @@ pub struct SpanningForest {
 /// Parallel connected components via concurrent union-find. Treats the
 /// graph as undirected (every stored arc unites its endpoints).
 pub fn connectivity<S: GraphStorage>(g: &S) -> CcResult {
-    connectivity_cancel(g, &CancelToken::new()).expect("fresh token cannot cancel")
+    connectivity_observed(g, &CancelToken::new(), &NoopObserver).expect("fresh token cannot cancel")
 }
 
-/// Cancellable [`connectivity`]: the single edge sweep polls the token
-/// per vertex task (a few hundred edges), so cancellation lands within
-/// one round by construction.
-pub fn connectivity_cancel<S: GraphStorage>(
-    g: &S,
-    cancel: &CancelToken,
-) -> Result<CcResult, Cancelled> {
-    connectivity_observed(g, cancel, &NoopObserver)
-}
-
-/// [`connectivity`] with per-round observation: the whole edge sweep is
-/// one round, so exactly one [`crate::engine::RoundEvent`] is emitted.
+/// Cancellable [`connectivity`] with per-round observation: the whole
+/// edge sweep is one round, so exactly one [`crate::engine::RoundEvent`]
+/// is emitted. The sweep polls the token per vertex task (a few hundred
+/// edges), so cancellation lands within one round by construction.
 pub fn connectivity_observed<S: GraphStorage>(
     g: &S,
     cancel: &CancelToken,
@@ -224,8 +216,11 @@ mod tests {
         let g = grid2d(50, 50);
         let t = CancelToken::new();
         t.cancel();
-        assert!(matches!(connectivity_cancel(&g, &t), Err(Cancelled)));
-        let ok = connectivity_cancel(&g, &CancelToken::new()).unwrap();
+        assert!(matches!(
+            connectivity_observed(&g, &t, &NoopObserver),
+            Err(Cancelled)
+        ));
+        let ok = connectivity_observed(&g, &CancelToken::new(), &NoopObserver).unwrap();
         assert_eq!(ok.num_components, 1);
     }
 

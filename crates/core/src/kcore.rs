@@ -113,23 +113,15 @@ pub fn kcore_seq<S: GraphStorage>(g: &S) -> KcoreResult {
 
 /// Parallel peeling k-core with VGC-style cascade processing.
 pub fn kcore_peel<S: GraphStorage>(g: &S, tau: usize) -> KcoreResult {
-    kcore_peel_cancel(g, tau, &CancelToken::new()).expect("fresh token cannot cancel")
+    kcore_peel_observed(g, tau, &CancelToken::new(), &NoopObserver)
+        .expect("fresh token cannot cancel")
 }
 
-/// Cancellable [`kcore_peel`]: the token is polled per level and per
+/// Cancellable [`kcore_peel`] with per-round observation: one
+/// [`crate::engine::RoundEvent`] per cascade round (level transitions do
+/// not emit events of their own). The token is polled per level and per
 /// cascade round; a fired token drains the bag and returns
 /// `Err(Cancelled)` within one round.
-pub fn kcore_peel_cancel<S: GraphStorage>(
-    g: &S,
-    tau: usize,
-    cancel: &CancelToken,
-) -> Result<KcoreResult, Cancelled> {
-    kcore_peel_observed(g, tau, cancel, &NoopObserver)
-}
-
-/// [`kcore_peel`] with per-round observation: one
-/// [`crate::engine::RoundEvent`] per cascade round (level transitions do
-/// not emit events of their own).
 pub fn kcore_peel_observed<S: GraphStorage>(
     g: &S,
     tau: usize,
@@ -337,8 +329,11 @@ mod tests {
         let g = path(2000);
         let t = CancelToken::new();
         t.cancel();
-        assert!(matches!(kcore_peel_cancel(&g, 4, &t), Err(Cancelled)));
-        let ok = kcore_peel_cancel(&g, 64, &CancelToken::new()).unwrap();
+        assert!(matches!(
+            kcore_peel_observed(&g, 4, &t, &NoopObserver),
+            Err(Cancelled)
+        ));
+        let ok = kcore_peel_observed(&g, 64, &CancelToken::new(), &NoopObserver).unwrap();
         assert_eq!(ok.coreness, kcore_seq(&g).coreness);
     }
 

@@ -82,24 +82,17 @@ pub struct MultiBfsResult {
 /// If `sources` is empty, longer than [`MAX_SOURCES`], or names a vertex
 /// out of range.
 pub fn multi_bfs<S: GraphStorage>(g: &S, sources: &[VertexId]) -> MultiBfsResult {
-    multi_bfs_cancel(g, sources, &CancelToken::new()).expect("fresh token cannot cancel")
-}
-
-/// Cancellable [`multi_bfs`]: stops within one round of `cancel` firing.
-pub fn multi_bfs_cancel<S: GraphStorage>(
-    g: &S,
-    sources: &[VertexId],
-    cancel: &CancelToken,
-) -> Result<MultiBfsResult, Cancelled> {
     let mut ws = TraversalWorkspace::new();
-    let stats = multi_bfs_observed_in(g, sources, cancel, &NoopObserver, &mut ws)?;
-    Ok(MultiBfsResult {
+    let stats = multi_bfs_observed_in(g, sources, &CancelToken::new(), &NoopObserver, &mut ws)
+        .expect("fresh token cannot cancel");
+    MultiBfsResult {
         dist: ws.take_multi_dist(),
         stats,
-    })
+    }
 }
 
-/// The pooled-workspace entry point: runs the flight and leaves the
+/// The pooled-workspace, cancellable entry point (stops within one round
+/// of `cancel` firing): runs the flight and leaves the
 /// distance columns resident in `ws` (read them via
 /// [`TraversalWorkspace::multi_dist`] or move them out via
 /// [`TraversalWorkspace::take_multi_dist`]). All state is re-prepared up

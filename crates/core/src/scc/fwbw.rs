@@ -239,25 +239,17 @@ impl<S: GraphStorage, T: GraphStorage> State<'_, S, T> {
 
 /// FW-BW SCC with an explicit engine and a precomputed transpose.
 pub fn scc_fwbw<S: GraphStorage, T: GraphStorage>(g: &S, gt: &T, engine: ReachEngine) -> SccResult {
-    scc_fwbw_cancel(g, gt, engine, &CancelToken::new()).expect("fresh token cannot cancel")
+    scc_fwbw_observed(g, gt, engine, &CancelToken::new(), &NoopObserver)
+        .expect("fresh token cannot cancel")
 }
 
-/// Cancellable [`scc_fwbw`]: the token is polled at every decomposition
-/// round and every reachability round; a fired token abandons the
-/// remaining subproblems and returns `Err(Cancelled)`.
-pub fn scc_fwbw_cancel<S: GraphStorage, T: GraphStorage>(
-    g: &S,
-    gt: &T,
-    engine: ReachEngine,
-    cancel: &CancelToken,
-) -> Result<SccResult, Cancelled> {
-    scc_fwbw_observed(g, gt, engine, cancel, &NoopObserver)
-}
-
-/// [`scc_fwbw`] with per-round observation. Events come from three
-/// sources — decomposition rounds, FW/BW phase boundaries, and the
+/// Cancellable [`scc_fwbw`] with per-round observation. Events come from
+/// three sources — decomposition rounds, FW/BW phase boundaries, and the
 /// reachability searches' own rounds — and subproblems run concurrently,
-/// so per-event edge counts are approximate (see [`crate::engine`]).
+/// so per-event edge counts are approximate (see [`crate::engine`]). The
+/// token is polled at every decomposition round and every reachability
+/// round; a fired token abandons the remaining subproblems and returns
+/// `Err(Cancelled)`.
 pub fn scc_fwbw_observed<S: GraphStorage, T: GraphStorage>(
     g: &S,
     gt: &T,
@@ -393,17 +385,8 @@ pub fn scc_vgc<S: GraphStorage>(g: &S, cfg: &VgcConfig) -> SccResult {
     scc_fwbw(g, &gt, ReachEngine::Vgc(*cfg))
 }
 
-/// Cancellable [`scc_vgc`].
-pub fn scc_vgc_cancel<S: GraphStorage>(
-    g: &S,
-    cfg: &VgcConfig,
-    cancel: &CancelToken,
-) -> Result<SccResult, Cancelled> {
-    let gt = transpose(g);
-    scc_fwbw_cancel(g, &gt, ReachEngine::Vgc(*cfg), cancel)
-}
-
-/// [`scc_vgc`] with per-round observation (transpose computed internally).
+/// Cancellable [`scc_vgc`] with per-round observation (transpose
+/// computed internally).
 pub fn scc_vgc_observed<S: GraphStorage>(
     g: &S,
     cfg: &VgcConfig,
@@ -536,10 +519,16 @@ mod tests {
         let t = CancelToken::new();
         t.cancel();
         assert!(matches!(
-            scc_vgc_cancel(&g, &VgcConfig::default(), &t),
+            scc_vgc_observed(&g, &VgcConfig::default(), &t, &NoopObserver),
             Err(Cancelled)
         ));
-        let ok = scc_vgc_cancel(&g, &VgcConfig::default(), &CancelToken::new()).unwrap();
+        let ok = scc_vgc_observed(
+            &g,
+            &VgcConfig::default(),
+            &CancelToken::new(),
+            &NoopObserver,
+        )
+        .unwrap();
         assert_eq!(ok.num_sccs, scc_tarjan(&g).num_sccs);
     }
 

@@ -54,23 +54,14 @@ impl Default for RhoConfig {
 
 /// ρ-stepping SSSP from `src`.
 pub fn sssp_rho_stepping<S: GraphStorage>(g: &S, src: VertexId, cfg: &RhoConfig) -> SsspResult {
-    sssp_rho_stepping_cancel(g, src, cfg, &CancelToken::new()).expect("fresh token cannot cancel")
+    sssp_rho_stepping_observed(g, src, cfg, &CancelToken::new(), &NoopObserver)
+        .expect("fresh token cannot cancel")
 }
 
-/// Cancellable [`sssp_rho_stepping`]: the token is polled once per step
-/// and once per frontier task; a fired token drains the bag and returns
-/// `Err(Cancelled)` within one step.
-pub fn sssp_rho_stepping_cancel<S: GraphStorage>(
-    g: &S,
-    src: VertexId,
-    cfg: &RhoConfig,
-    cancel: &CancelToken,
-) -> Result<SsspResult, Cancelled> {
-    sssp_rho_stepping_observed(g, src, cfg, cancel, &NoopObserver)
-}
-
-/// [`sssp_rho_stepping`] with per-round observation: one
-/// [`crate::engine::RoundEvent`] per step of the stepping framework.
+/// Cancellable [`sssp_rho_stepping`] with per-round observation: one
+/// [`crate::engine::RoundEvent`] per step of the stepping framework. The
+/// token is polled once per step and once per frontier task; a fired
+/// token drains the bag and returns `Err(Cancelled)` within one step.
 pub fn sssp_rho_stepping_observed<S: GraphStorage>(
     g: &S,
     src: VertexId,
@@ -286,11 +277,17 @@ mod tests {
         let t = CancelToken::new();
         t.cancel();
         assert!(matches!(
-            sssp_rho_stepping_cancel(&g, 0, &RhoConfig::default(), &t),
+            sssp_rho_stepping_observed(&g, 0, &RhoConfig::default(), &t, &NoopObserver),
             Err(Cancelled)
         ));
-        let ok =
-            sssp_rho_stepping_cancel(&g, 0, &RhoConfig::default(), &CancelToken::new()).unwrap();
+        let ok = sssp_rho_stepping_observed(
+            &g,
+            0,
+            &RhoConfig::default(),
+            &CancelToken::new(),
+            &NoopObserver,
+        )
+        .unwrap();
         assert_eq!(ok.dist, sssp_dijkstra(&g, 0).dist);
     }
 

@@ -38,7 +38,7 @@ use crate::compressed::{
 use crate::storage::{GraphStorage, SliceWeightedNeighbors, StorageKind};
 use crate::{Dist, VertexId, Weight};
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 const MAGIC: u64 = u64::from_le_bytes(*b"PASGALPK");
@@ -186,10 +186,24 @@ pub fn pack<S: GraphStorage>(
     debug_assert_eq!(header.len(), HEADER_LEN);
     header.resize(PAGE, 0);
 
-    let mut f = File::create(path)?;
-    f.write_all(&header)?;
-    f.write_all(&body)?;
-    f.flush()?;
+    // Never truncate `path` in place: a process that has the old file
+    // mapped would SIGBUS on its next page fault. Write a sibling, make
+    // it durable, then rename — old mappings keep their inode, and a
+    // crash mid-write leaves the old container intact.
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp-{}", crate::io::unique_suffix()));
+    let written = File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(&header)?;
+            f.write_all(&body)?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e.into());
+    }
     Ok(())
 }
 
@@ -345,7 +359,7 @@ struct Header {
 
 /// Validate magic/version/endianness and the header checksum, then
 /// decode the fixed fields and section table.
-fn parse_header(b: &[u8]) -> Result<Header, DiskError> {
+fn parse_header(b: &[u8], file_len: usize) -> Result<Header, DiskError> {
     if b.len() < PAGE {
         return format_err("file shorter than header page");
     }
@@ -368,7 +382,7 @@ fn parse_header(b: &[u8]) -> Result<Header, DiskError> {
         let base = 0x38 + i * 24;
         let off = read_u64(b, base);
         let len = read_u64(b, base + 8);
-        if off.checked_add(len).is_none_or(|end| end > b.len() as u64) {
+        if off.checked_add(len).is_none_or(|end| end > file_len as u64) {
             return format_err(format!("section {i} out of bounds"));
         }
         sections[i] = Section {
@@ -425,15 +439,14 @@ fn check_section(b: &[u8], h: &Header, i: usize) -> Result<(), String> {
 /// The file must end exactly where the last padded section does, and the
 /// header page's tail must be zero — trailing garbage or padding writes
 /// are corruption, not slack.
-fn check_length(b: &[u8], h: &Header) -> Result<(), String> {
+fn check_length(b: &[u8], file_len: usize, h: &Header) -> Result<(), String> {
     if b[HEADER_LEN..PAGE].iter().any(|&x| x != 0) {
         return Err("header padding not zero".to_string());
     }
     let expected = expected_offset(h, SECTION_COUNT);
-    if b.len() != expected {
+    if file_len != expected {
         return Err(format!(
-            "file length {} (layout expects {expected})",
-            b.len()
+            "file length {file_len} (layout expects {expected})"
         ));
     }
     Ok(())
@@ -484,7 +497,7 @@ impl VerifyReport {
 pub fn verify(path: impl AsRef<Path>) -> Result<VerifyReport, DiskError> {
     let bytes = std::fs::read(path)?;
     let mut report = VerifyReport::default();
-    let h = match parse_header(&bytes) {
+    let h = match parse_header(&bytes, bytes.len()) {
         Ok(h) => {
             report.push(
                 "header",
@@ -506,7 +519,7 @@ pub fn verify(path: impl AsRef<Path>) -> Result<VerifyReport, DiskError> {
     }
     report.push(
         "length",
-        check_length(&bytes, &h).map(|()| format!("{} bytes", bytes.len())),
+        check_length(&bytes, bytes.len(), &h).map(|()| format!("{} bytes", bytes.len())),
     );
     if report.ok() {
         let deep = match MmapGraph::parse(owned_from_bytes(&bytes)) {
@@ -534,9 +547,21 @@ fn owned_from_bytes(bytes: &[u8]) -> Source {
 impl MmapGraph {
     /// Map `path` and validate header + section checksums. Falls back to
     /// an owned aligned buffer when mapping is unavailable.
+    ///
+    /// The header is first read with `read(2)` and the length it promises
+    /// compared with the file's, so a short file is an error here rather
+    /// than a SIGBUS on the first fault past its end. What no check can
+    /// cover is a file shrunk *after* it is mapped: replace a container
+    /// by rename (as [`pack`] does), never by writing over it in place.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, DiskError> {
-        let file = File::open(&path)?;
+        let mut file = File::open(&path)?;
         let len = file.metadata()?.len() as usize;
+        let mut page = [0u8; PAGE];
+        if len < PAGE || file.read_exact(&mut page).is_err() {
+            return format_err("file shorter than header page");
+        }
+        let h = parse_header(&page, len)?;
+        check_length(&page, len, &h).map_err(DiskError::Format)?;
         let src = Self::map_or_read(file, len)?;
         Self::parse(src)
     }
@@ -586,17 +611,19 @@ impl MmapGraph {
         let mut buf = vec![0u64; len.div_ceil(8)];
         // SAFETY: u64 buffer reinterpreted as bytes for reading; len ≤ capacity bytes.
         let dst = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<u8>(), len) };
+        // `load` has already consumed the header page from this handle
+        file.seek(SeekFrom::Start(0))?;
         file.read_exact(dst)?;
         Ok(Source::Owned { buf, len })
     }
 
     fn parse(src: Source) -> Result<Self, DiskError> {
         let b = src.bytes();
-        let h = parse_header(b)?;
+        let h = parse_header(b, b.len())?;
         for i in 0..SECTION_COUNT {
             check_section(b, &h, i).map_err(DiskError::Format)?;
         }
-        check_length(b, &h).map_err(DiskError::Format)?;
+        check_length(b, b.len(), &h).map_err(DiskError::Format)?;
         let Header {
             flags,
             n,
@@ -939,12 +966,15 @@ mod tests {
     use crate::builder::{from_edges_symmetric, from_weighted_edges};
     use crate::csr::Graph;
     use crate::gen::basic::{grid2d, random_directed};
+    use crate::io::{unique_temp_dir, TempDir};
     use crate::storage::to_plain;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("pasgal-disk-test-{}-{name}", std::process::id()));
-        p
+    /// `name` inside a scratch directory of the test's own (the guard
+    /// removes it when dropped).
+    fn tmp(name: impl AsRef<Path>) -> (TempDir, std::path::PathBuf) {
+        let dir = unique_temp_dir("disk");
+        let p = dir.join(name);
+        (dir, p)
     }
 
     fn assert_equivalent(g: &Graph, d: &MmapGraph) {
@@ -975,14 +1005,13 @@ mod tests {
         .enumerate()
         {
             for compress in [false, true] {
-                let p = tmp(&format!("rt-{i}-{compress}"));
+                let (_dir, p) = tmp(format!("rt-{i}-{compress}"));
                 pack(&g, &p, compress).unwrap();
                 let d = MmapGraph::load(&p).unwrap();
                 assert_eq!(d.is_compressed(), compress);
                 assert_equivalent(&g, &d);
                 assert_eq!(to_plain(&d), g);
                 drop(d);
-                std::fs::remove_file(&p).unwrap();
             }
         }
     }
@@ -991,44 +1020,41 @@ mod tests {
     fn weighted_roundtrip_both_payloads() {
         let g = from_weighted_edges(5, &[(0, 4), (4, 0), (1, 2), (2, 3)], &[7, 1, 90000, 3]);
         for compress in [false, true] {
-            let p = tmp(&format!("w-{compress}"));
+            let (_dir, p) = tmp(format!("w-{compress}"));
             pack(&g, &p, compress).unwrap();
             let d = MmapGraph::load(&p).unwrap();
             assert_equivalent(&g, &d);
             assert_eq!(d.distance_bound(), Graph::distance_bound(&g));
             drop(d);
-            std::fs::remove_file(&p).unwrap();
         }
     }
 
     #[test]
     fn owned_fallback_matches_mapped() {
         let g = grid2d(6, 7);
-        let p = tmp("owned");
+        let (_dir, p) = tmp("owned");
         pack(&g, &p, true).unwrap();
         let d = MmapGraph::load_owned(&p).unwrap();
         assert_equivalent(&g, &d);
         assert!(d.resident_bytes() > std::mem::size_of::<MmapGraph>());
         drop(d);
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn mapped_resident_bytes_are_metadata_only() {
         let g = grid2d(16, 16);
-        let p = tmp("resident");
+        let (_dir, p) = tmp("resident");
         pack(&g, &p, false).unwrap();
         let d = MmapGraph::load(&p).unwrap();
         #[cfg(unix)]
         assert_eq!(d.resident_bytes(), std::mem::size_of::<MmapGraph>());
         drop(d);
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn corruption_is_detected() {
         let g = grid2d(4, 4);
-        let p = tmp("corrupt");
+        let (_dir, p) = tmp("corrupt");
         pack(&g, &p, false).unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
         // flip one byte inside the targets section (second page onward)
@@ -1037,28 +1063,25 @@ mod tests {
         std::fs::write(&p, &bytes).unwrap();
         let err = MmapGraph::load(&p).unwrap_err();
         assert!(matches!(err, DiskError::Format(_)), "{err}");
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let p = tmp("magic");
+        let (_dir, p) = tmp("magic");
         std::fs::write(&p, vec![0u8; PAGE]).unwrap();
         assert!(matches!(
             MmapGraph::load(&p).unwrap_err(),
             DiskError::Format(_)
         ));
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn truncated_header_rejected() {
-        let p = tmp("short");
+        let (_dir, p) = tmp("short");
         std::fs::write(&p, b"PASGALPK").unwrap();
         assert!(matches!(
             MmapGraph::load(&p).unwrap_err(),
             DiskError::Format(_)
         ));
-        std::fs::remove_file(&p).unwrap();
     }
 }

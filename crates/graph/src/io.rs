@@ -26,11 +26,15 @@
 //! std::fs::remove_file(&path).unwrap();
 //! ```
 
+use crate::compressed::CompressedGraph;
 use crate::csr::Graph;
+use crate::disk::MmapGraph;
+use crate::storage::GraphStore;
 use crate::{VertexId, Weight};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Little-endian cursor over a byte slice (replaces the `bytes` crate's
 /// `Buf` so the binary format needs only std).
@@ -340,25 +344,113 @@ pub fn read_edge_list(path: impl AsRef<Path>) -> Result<Graph, IoError> {
     })
 }
 
+// ----------------------------------------------------- load by extension ---
+
+/// Load a graph file by extension: `.adj` (PBBS text), `.bin` (binary
+/// CSR), `.pasgal` (packed container), anything else as an edge list.
+/// Container files decode to a plain in-memory graph here; use
+/// [`load_store_by_ext`] to keep them mmap-backed.
+pub fn load_graph_by_ext(path: &str) -> Result<Graph, String> {
+    let p = Path::new(path);
+    let res = match p.extension().and_then(|e| e.to_str()).unwrap_or("") {
+        "adj" => read_adj(p),
+        "bin" => read_bin(p),
+        "pasgal" => {
+            return MmapGraph::load(p)
+                .map(|g| crate::storage::to_plain(&g))
+                .map_err(|e| format!("cannot read {path}: {e}"))
+        }
+        _ => read_edge_list(p),
+    };
+    res.map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// Load a graph into the requested storage backend. `storage` is
+/// `plain` / `compressed` / `mmap` (default: `mmap` for `.pasgal`
+/// container files, `plain` otherwise). `mmap` requires a container
+/// produced by `pasgal pack`.
+pub fn load_store_by_ext(path: &str, storage: Option<&str>) -> Result<GraphStore, String> {
+    let is_container = Path::new(path)
+        .extension()
+        .and_then(|e| e.to_str())
+        .is_some_and(|e| e == "pasgal");
+    match storage.unwrap_or(if is_container { "mmap" } else { "plain" }) {
+        "mmap" => {
+            if !is_container {
+                return Err(format!(
+                    "storage \"mmap\" needs a .pasgal container (run `pasgal pack`), got {path}"
+                ));
+            }
+            MmapGraph::load(path)
+                .map(GraphStore::Mmap)
+                .map_err(|e| format!("cannot read {path}: {e}"))
+        }
+        "compressed" => {
+            let g = load_graph_by_ext(path)?;
+            Ok(GraphStore::Compressed(CompressedGraph::from_storage(&g)))
+        }
+        "plain" => Ok(GraphStore::Plain(load_graph_by_ext(path)?)),
+        other => Err(format!(
+            "unknown storage {other:?} (expected plain, compressed, or mmap)"
+        )),
+    }
+}
+
+// -------------------------------------------------------- scratch files ---
+
+/// A scratch directory no other caller can name, removed on drop.
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// The path of `name` inside the directory (not created).
+    pub fn join(&self, name: impl AsRef<Path>) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// `<pid>-<n>` with a process-wide counter `n`: a name suffix no other
+/// call, in this process or a concurrent one, will produce.
+pub(crate) fn unique_suffix() -> String {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    format!("{}-{n}", std::process::id())
+}
+
+/// Create a fresh scratch directory under the system temp dir, named
+/// from `tag` and a `<pid>-<n>` suffix — so concurrent tests in one
+/// process and concurrent processes never share a path.
+pub fn unique_temp_dir(tag: &str) -> TempDir {
+    let dir = std::env::temp_dir().join(format!("pasgal-{tag}-{}", unique_suffix()));
+    std::fs::create_dir_all(&dir).expect("create scratch directory");
+    TempDir(dir)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{from_edges, from_weighted_edges};
     use crate::gen::basic::grid2d;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("pasgal_io_test_{name}_{}", std::process::id()));
-        p
+    /// `name` inside a scratch directory of the test's own (the guard
+    /// removes it when dropped).
+    fn tmp(name: impl AsRef<Path>) -> (TempDir, std::path::PathBuf) {
+        let dir = unique_temp_dir("io");
+        let p = dir.join(name);
+        (dir, p)
     }
 
     #[test]
     fn adj_roundtrip() {
         let g = from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
-        let p = tmp("adj");
+        let (_dir, p) = tmp("adj");
         write_adj(&g, &p).unwrap();
         let h = read_adj(&p).unwrap();
-        std::fs::remove_file(&p).unwrap();
         assert_eq!(g.offsets(), h.offsets());
         assert_eq!(g.targets(), h.targets());
     }
@@ -366,29 +458,26 @@ mod tests {
     #[test]
     fn adj_weighted_roundtrip() {
         let g = from_weighted_edges(3, &[(0, 1), (1, 2)], &[5, 9]);
-        let p = tmp("adjw");
+        let (_dir, p) = tmp("adjw");
         write_adj(&g, &p).unwrap();
         let h = read_adj(&p).unwrap();
-        std::fs::remove_file(&p).unwrap();
         assert_eq!(g.weights(), h.weights());
     }
 
     #[test]
     fn adj_rejects_garbage() {
-        let p = tmp("garbage");
+        let (_dir, p) = tmp("garbage");
         std::fs::write(&p, "NotAGraph\n1 2 3\n").unwrap();
         let e = read_adj(&p);
-        std::fs::remove_file(&p).unwrap();
         assert!(matches!(e, Err(IoError::Format(_))));
     }
 
     #[test]
     fn bin_roundtrip_preserves_everything() {
         let g = grid2d(5, 7);
-        let p = tmp("bin");
+        let (_dir, p) = tmp("bin");
         write_bin(&g, &p).unwrap();
         let h = read_bin(&p).unwrap();
-        std::fs::remove_file(&p).unwrap();
         assert_eq!(g, h);
         assert!(h.is_symmetric());
     }
@@ -396,50 +485,45 @@ mod tests {
     #[test]
     fn bin_weighted_roundtrip() {
         let g = from_weighted_edges(3, &[(0, 1), (2, 0)], &[7, 8]);
-        let p = tmp("binw");
+        let (_dir, p) = tmp("binw");
         write_bin(&g, &p).unwrap();
         let h = read_bin(&p).unwrap();
-        std::fs::remove_file(&p).unwrap();
         assert_eq!(g, h);
     }
 
     #[test]
     fn bin_rejects_bad_magic() {
-        let p = tmp("badmagic");
+        let (_dir, p) = tmp("badmagic");
         std::fs::write(&p, vec![0u8; 64]).unwrap();
         let e = read_bin(&p);
-        std::fs::remove_file(&p).unwrap();
         assert!(matches!(e, Err(IoError::Format(_))));
     }
 
     #[test]
     fn bin_rejects_truncation() {
         let g = grid2d(4, 4);
-        let p = tmp("trunc");
+        let (_dir, p) = tmp("trunc");
         write_bin(&g, &p).unwrap();
         let full = std::fs::read(&p).unwrap();
         std::fs::write(&p, &full[..full.len() / 2]).unwrap();
         let e = read_bin(&p);
-        std::fs::remove_file(&p).unwrap();
         assert!(matches!(e, Err(IoError::Format(_))));
     }
 
     #[test]
     fn edge_list_roundtrip() {
         let g = from_edges(5, &[(0, 1), (1, 2), (4, 0)]);
-        let p = tmp("el");
+        let (_dir, p) = tmp("el");
         write_edge_list(&g, &p).unwrap();
         let h = read_edge_list(&p).unwrap();
-        std::fs::remove_file(&p).unwrap();
         assert_eq!(g.targets(), h.targets());
     }
 
     #[test]
     fn edge_list_with_comments_and_weights() {
-        let p = tmp("elw");
+        let (_dir, p) = tmp("elw");
         std::fs::write(&p, "# comment\n0 1 9\n% also comment\n1 2 4\n\n").unwrap();
         let g = read_edge_list(&p).unwrap();
-        std::fs::remove_file(&p).unwrap();
         assert!(g.is_weighted());
         assert_eq!(g.weighted_neighbors(0).next(), Some((1, 9)));
         assert_eq!(g.num_vertices(), 3);
@@ -449,7 +533,7 @@ mod tests {
     fn edge_list_tolerates_messy_real_world_files() {
         // SNAP-style header, CRLF endings, tabs, leading whitespace,
         // blank lines, and a trailing inline comment.
-        let p = tmp("elmessy");
+        let (_dir, p) = tmp("elmessy");
         std::fs::write(
             &p,
             "# Directed graph (each unordered pair of nodes is saved once)\r\n\
@@ -461,7 +545,6 @@ mod tests {
         )
         .unwrap();
         let g = read_edge_list(&p).unwrap();
-        std::fs::remove_file(&p).unwrap();
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.num_edges(), 3);
         assert!(!g.is_weighted());
@@ -470,25 +553,22 @@ mod tests {
 
     #[test]
     fn edge_list_errors_name_the_line() {
-        let p = tmp("elbad");
+        let (_dir, p) = tmp("elbad");
         std::fs::write(&p, "0 1\nnot an edge\n").unwrap();
         let e = read_edge_list(&p);
-        std::fs::remove_file(&p).unwrap();
         match e {
             Err(IoError::Format(msg)) => assert!(msg.contains("line 2"), "{msg}"),
             other => panic!("expected format error, got {other:?}"),
         }
 
-        let p = tmp("elbadw");
+        let (_dir, p) = tmp("elbadw");
         std::fs::write(&p, "0 1 x\n").unwrap();
         let e = read_edge_list(&p);
-        std::fs::remove_file(&p).unwrap();
         assert!(matches!(e, Err(IoError::Format(_))));
 
-        let p = tmp("elextra");
+        let (_dir, p) = tmp("elextra");
         std::fs::write(&p, "0 1 2 3\n").unwrap();
         let e = read_edge_list(&p);
-        std::fs::remove_file(&p).unwrap();
         match e {
             Err(IoError::Format(msg)) => assert!(msg.contains("too many fields"), "{msg}"),
             other => panic!("expected format error, got {other:?}"),
@@ -497,10 +577,9 @@ mod tests {
 
     #[test]
     fn empty_edge_list() {
-        let p = tmp("empty");
+        let (_dir, p) = tmp("empty");
         std::fs::write(&p, "# nothing\n").unwrap();
         let g = read_edge_list(&p).unwrap();
-        std::fs::remove_file(&p).unwrap();
         assert_eq!(g.num_vertices(), 0);
     }
 }

@@ -208,13 +208,10 @@ impl ResultCache {
     }
 
     /// Drop every entry computed against `generation` (called when a graph
-    /// name is re-registered or unregistered). Returns how many entries
-    /// were dropped.
-    pub fn invalidate_generation(&mut self, generation: u64) -> usize {
-        let before = self.len();
+    /// name is re-registered or unregistered).
+    pub fn invalidate_generation(&mut self, generation: u64) {
         self.dists.retain(|k, _| k.generation() != generation);
         self.labelings.retain(|k, _| k.generation() != generation);
-        before - self.len()
     }
 
     /// Remove and return every entry computed against `generation` — the

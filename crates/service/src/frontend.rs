@@ -1,10 +1,8 @@
 //! Event-driven front end: a readiness loop multiplexing many pipelined
 //! connections over a few I/O threads.
 //!
-//! The thread-per-connection [`crate::server::Server`] spends three
-//! threads per client (connection, watcher, and a share of the worker
-//! pool); past a few hundred clients the scheduler thrashes. This front
-//! end inverts the model:
+//! A thread per connection stops scaling past a few hundred clients (the
+//! scheduler thrashes); this front end keeps the thread count fixed:
 //!
 //! * One **accept thread** hands new sockets round-robin to the I/O
 //!   threads through per-thread inboxes plus a [`Waker`].
@@ -16,9 +14,9 @@
 //!   buffer, so pipelined clients can match responses to requests
 //!   positionally.
 //! * Per-shard **executor pools** run the blocking service dispatch
-//!   ([`crate::shard::handle_sharded_request`]) — the exact same code
-//!   path as the baseline front end, so admission control, deadlines,
-//!   breakers, brownout, and every metrics identity behave identically.
+//!   ([`crate::shard::handle_sharded_request`]), so admission control,
+//!   deadlines, breakers, brownout, and every metrics identity are the
+//!   in-process service's own.
 //!
 //! Backpressure is per connection: once `pipeline_depth` frames are in
 //! flight (parsed but not yet answered into the write buffer), the I/O
@@ -37,7 +35,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -92,38 +90,6 @@ struct ConnShared {
     waker: Arc<Waker>,
 }
 
-/// Live connection registry (all I/O threads), for shutdown fan-out.
-#[derive(Default)]
-struct Registry {
-    next_id: AtomicU64,
-    tokens: Mutex<HashMap<u64, CancelToken>>,
-}
-
-impl Registry {
-    fn register(&self, token: CancelToken) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.tokens
-            .lock()
-            .expect("registry poisoned")
-            .insert(id, token);
-        id
-    }
-
-    fn deregister(&self, id: u64) {
-        self.tokens.lock().expect("registry poisoned").remove(&id);
-    }
-
-    fn cancel_all(&self) {
-        for t in self.tokens.lock().expect("registry poisoned").values() {
-            t.cancel();
-        }
-    }
-
-    fn active(&self) -> usize {
-        self.tokens.lock().expect("registry poisoned").len()
-    }
-}
-
 /// A running event front end; dropping it (or [`EventServer::shutdown`])
 /// drains and stops every thread.
 pub struct EventServer {
@@ -132,7 +98,6 @@ pub struct EventServer {
     /// Set once the drain deadline passes: I/O threads drop connections
     /// without waiting for unflushed output.
     force_close: Arc<AtomicBool>,
-    registry: Arc<Registry>,
     stats: Arc<FrontendStats>,
     sharded: Arc<ShardedService>,
     wakers: Vec<Arc<Waker>>,
@@ -162,7 +127,6 @@ impl EventServer {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let force_close = Arc::new(AtomicBool::new(false));
-        let registry = Arc::new(Registry::default());
         let stats = Arc::new(FrontendStats::new());
 
         // per-shard executor pools
@@ -200,7 +164,6 @@ impl EventServer {
                 sharded: Arc::clone(&sharded),
                 senders: senders.clone(),
                 stats: Arc::clone(&stats),
-                registry: Arc::clone(&registry),
                 shutdown: Arc::clone(&shutdown),
                 force_close: Arc::clone(&force_close),
                 pipeline_depth: config.pipeline_depth.max(1),
@@ -244,7 +207,6 @@ impl EventServer {
             addr,
             shutdown,
             force_close,
-            registry,
             stats,
             sharded,
             wakers,
@@ -261,19 +223,9 @@ impl EventServer {
         self.addr
     }
 
-    /// The actual bound port.
-    pub fn port(&self) -> u16 {
-        self.addr.port()
-    }
-
     /// Connection-level counters.
     pub fn stats(&self) -> FrontendSnapshot {
         self.stats.snapshot()
-    }
-
-    /// The shard fleet this front end serves.
-    pub fn sharded(&self) -> &Arc<ShardedService> {
-        &self.sharded
     }
 
     /// The tuning in effect (clamped to sane minimums at spawn).
@@ -297,13 +249,13 @@ impl EventServer {
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
-        self.registry.cancel_all();
+        // each I/O thread cancels its connections' tokens once woken
         self.sharded.cancel_inflight();
         for w in &self.wakers {
             w.wake();
         }
         let deadline = Instant::now() + drain;
-        while self.registry.active() > 0 && Instant::now() < deadline {
+        while self.stats.snapshot().connections_open > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         // past the deadline: stop waiting on clients that won't read
@@ -371,7 +323,6 @@ struct IoCtx {
     sharded: Arc<ShardedService>,
     senders: Vec<Sender<Job>>,
     stats: Arc<FrontendStats>,
-    registry: Arc<Registry>,
     shutdown: Arc<AtomicBool>,
     force_close: Arc<AtomicBool>,
     pipeline_depth: usize,
@@ -379,7 +330,6 @@ struct IoCtx {
 
 /// Per-connection state owned by its I/O thread.
 struct Conn {
-    id: u64,
     stream: TcpStream,
     frames: FrameBuf,
     shared: Arc<ConnShared>,
@@ -391,6 +341,8 @@ struct Conn {
     reorder: BTreeMap<u64, Vec<u8>>,
     outbuf: Vec<u8>,
     written: usize,
+    /// The peer closed its write side; close once what it sent is parsed.
+    eof: bool,
     /// Stop reading/parsing; close once all responses are flushed.
     closing: bool,
     /// Tear down now, without waiting for pending responses.
@@ -454,10 +406,6 @@ fn io_loop(ctx: IoCtx) {
             if ev.writable {
                 flush_conn(conn);
             }
-            if ev.hangup && conn.inflight() == 0 && conn.reorder.is_empty() {
-                // peer is gone and nothing is pending — reap now
-                conn.error = true;
-            }
         }
         if woken {
             ctx.waker.drain();
@@ -507,7 +455,6 @@ fn io_loop(ctx: IoCtx) {
             if let Some(conn) = conns.remove(&token) {
                 let _ = poller.deregister(conn.stream.as_raw_fd());
                 conn.shared.token.cancel();
-                ctx.registry.deregister(conn.id);
                 ctx.stats.connection_closed();
             }
         }
@@ -519,18 +466,13 @@ fn io_loop(ctx: IoCtx) {
 }
 
 fn accept_conn(stream: TcpStream, poller: &Poller, conns: &mut HashMap<usize, Conn>, ctx: &IoCtx) {
-    let token = CancelToken::new();
-    let id = ctx.registry.register(token.clone());
-    if ctx.shutdown.load(Ordering::SeqCst) {
-        token.cancel();
-    }
-    let poll_token = id as usize;
+    // the fd names the connection to the poller: unique while it is open
+    let poll_token = stream.as_raw_fd() as usize;
     let conn = Conn {
-        id,
         stream,
         frames: FrameBuf::new(),
         shared: Arc::new(ConnShared {
-            token,
+            token: CancelToken::new(),
             completed: Mutex::new(Vec::new()),
             waker: Arc::clone(&ctx.waker),
         }),
@@ -539,6 +481,7 @@ fn accept_conn(stream: TcpStream, poller: &Poller, conns: &mut HashMap<usize, Co
         reorder: BTreeMap::new(),
         outbuf: Vec::new(),
         written: 0,
+        eof: false,
         closing: false,
         error: false,
         interest: Interest::READ,
@@ -547,7 +490,6 @@ fn accept_conn(stream: TcpStream, poller: &Poller, conns: &mut HashMap<usize, Co
         .register(conn.stream.as_raw_fd(), poll_token, Interest::READ)
         .is_err()
     {
-        ctx.registry.deregister(id);
         ctx.stats.connection_closed();
         return;
     }
@@ -562,8 +504,14 @@ fn read_conn(conn: &mut Conn, ctx: &IoCtx) {
     loop {
         match conn.stream.read(&mut buf) {
             Ok(0) => {
-                conn.closing = true;
-                return;
+                // The peer closed its write side. A client that is gone
+                // and one that half-closed look the same from here, so
+                // both get the same treatment: what is computing is
+                // abandoned rather than finished into the void, and
+                // every request received still gets its one reply.
+                conn.eof = true;
+                conn.shared.token.cancel();
+                break;
             }
             Ok(n) => {
                 ctx.stats.bytes_in(n as u64);
@@ -594,7 +542,7 @@ fn parse_frames(conn: &mut Conn, ctx: &IoCtx) {
                 let mode = conn.mode();
                 match decode_request(conn.frames.mode(), &payload) {
                     Ok(request) => {
-                        let shard = route(&ctx.sharded, &request);
+                        let shard = ctx.sharded.route(&request);
                         let job = Job {
                             request,
                             seq: conn.next_seq,
@@ -616,7 +564,10 @@ fn parse_frames(conn: &mut Conn, ctx: &IoCtx) {
                     }
                 }
             }
-            Ok(None) => break,
+            Ok(None) => {
+                conn.closing |= conn.eof;
+                break;
+            }
             Err(e) => {
                 // unframeable stream: one final error, then drain & close
                 ctx.stats.frame_bad();
@@ -628,17 +579,6 @@ fn parse_frames(conn: &mut Conn, ctx: &IoCtx) {
         }
     }
     pump_responses(conn);
-}
-
-/// Which executor pool a request belongs to (mirrors the routing inside
-/// [`handle_sharded_request`]; fan-in ops run on shard 0's pool).
-fn route(sharded: &ShardedService, request: &Json) -> usize {
-    let name = match request.get("op").and_then(Json::as_str) {
-        Some("register") | Some("unregister") => request.get("name").and_then(Json::as_str),
-        Some("metrics") | Some("health") | Some("list") => None,
-        _ => request.get("graph").and_then(Json::as_str),
-    };
-    name.map_or(0, |n| sharded.shard_index(n))
 }
 
 /// Move finished responses into the reorder buffer, then append every
@@ -687,14 +627,11 @@ fn update_interest(conn: &mut Conn, poller: &Poller, ctx: &IoCtx) {
     let backpressured = conn.inflight() >= ctx.pipeline_depth as u64
         || conn.frames.pending_bytes() > MAX_FRAME_BYTES;
     let want = Interest {
-        readable: !conn.closing && !backpressured,
+        readable: !conn.closing && !conn.eof && !backpressured,
         writable: conn.written < conn.outbuf.len(),
     };
-    if want != conn.interest
-        && poller
-            .modify(conn.stream.as_raw_fd(), conn.id as usize, want)
-            .is_ok()
-    {
+    let fd = conn.stream.as_raw_fd();
+    if want != conn.interest && poller.modify(fd, fd as usize, want).is_ok() {
         conn.interest = want;
     }
 }
@@ -734,7 +671,11 @@ mod tests {
     #[test]
     fn json_lines_round_trip_and_port_zero() {
         let mut server = event_server(2);
-        assert_ne!(server.port(), 0, "port 0 resolves to the bound port");
+        assert_ne!(
+            server.local_addr().port(),
+            0,
+            "port 0 resolves to the bound port"
+        );
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -869,6 +810,98 @@ mod tests {
         let mut rest = String::new();
         assert_eq!(reader.read_line(&mut rest).unwrap_or(0), 0, "{rest:?}");
         server.shutdown();
+    }
+
+    #[test]
+    fn non_utf8_line_gets_bad_request_and_connection_survives() {
+        let mut server = event_server(1);
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writer.write_all(&[0xff, 0xfe, 0x80, b'\n']).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("bad_request"), "{line}");
+        assert!(line.contains("UTF-8"), "{line}");
+        writer
+            .write_all(b"{\"op\":\"stats\",\"graph\":\"g\"}\n")
+            .unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"ok\":true"), "{line}");
+        server.shutdown();
+        assert_eq!(server.stats().frames_bad, 1);
+    }
+
+    fn wait_for_busy(fleet: &ShardedService, want: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while fleet.merged_metrics().workers_busy != want {
+            assert!(
+                Instant::now() < deadline,
+                "workers_busy never became {want}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A client with a far BFS computing on the fleet's only worker.
+    /// τ = 1 on a long path is one vertex per round: the traversal takes
+    /// seconds unless something cancels it.
+    fn slow_query_in_flight() -> (Arc<ShardedService>, EventServer, TcpStream) {
+        let fleet = Arc::new(ShardedService::new(
+            ServiceConfig {
+                workers: 1,
+                tau: 1,
+                adaptive_tau: false,
+                ..ServiceConfig::default()
+            },
+            1,
+        ));
+        fleet.register("p", pasgal_graph::gen::basic::path(200_000));
+        // depth 1: whatever follows the BFS stays buffered, unparsed
+        let config = FrontendConfig {
+            pipeline_depth: 1,
+            ..FrontendConfig::default()
+        };
+        let server = EventServer::spawn(Arc::clone(&fleet), "127.0.0.1:0", config).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .write_all(b"{\"op\":\"bfs\",\"graph\":\"p\",\"src\":0,\"target\":199999}\n")
+            .unwrap();
+        wait_for_busy(&fleet, 1);
+        (fleet, server, stream)
+    }
+
+    #[test]
+    fn disconnect_mid_flight_frees_the_worker() {
+        let (fleet, mut server, stream) = slow_query_in_flight();
+        drop(stream);
+        wait_for_busy(&fleet, 0);
+        let m = fleet.merged_metrics();
+        assert_eq!(m.cancelled, 1, "{m:?}");
+        assert_eq!(m.completed, 0, "{m:?}");
+        assert_eq!(m.computations_cancelled, 1, "{m:?}");
+        server.shutdown();
+    }
+
+    /// The half-close contract, pinned: shutting down the write side with
+    /// a query still computing cancels it exactly as a disconnect does —
+    /// the two are one event on the wire — but each request still gets
+    /// its reply, in order, before the server closes its side.
+    #[test]
+    fn half_close_cancels_what_is_computing_and_still_answers_in_order() {
+        let (fleet, mut server, mut stream) = slow_query_in_flight();
+        stream
+            .write_all(b"{\"op\":\"stats\",\"graph\":\"p\"}\n")
+            .unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let replies: Vec<String> = BufReader::new(stream).lines().map(Result::unwrap).collect();
+        assert_eq!(replies.len(), 2, "{replies:?}");
+        assert!(replies[0].contains("\"kind\":\"cancelled\""), "{replies:?}");
+        assert!(replies[1].contains("\"n\":200000"), "{replies:?}");
+        wait_for_busy(&fleet, 0);
+        server.shutdown();
+        assert!(server.stats().reconciles());
     }
 
     #[test]

@@ -32,19 +32,21 @@
 //! - **[`fault`]** — deterministic fault injection (worker panics,
 //!   stalls, forced cache misses, fake queue-full), compiled out unless
 //!   the `fault-injection` cargo feature is on; drives the chaos tests.
-//! - **[`protocol`]** — request framing shared by both front ends:
-//!   incremental JSON-lines / length-prefixed-binary parsing with
-//!   first-frame negotiation, and the compact binary query encodings.
+//! - **[`protocol`]** — request framing: incremental JSON-lines /
+//!   length-prefixed-binary parsing with first-frame negotiation, and
+//!   the compact binary query encodings.
 //! - **[`poller`]** — the readiness-notification abstraction (epoll on
 //!   Linux, a portable poll fallback elsewhere) behind the event loop.
 //! - **[`shard`]** — per-graph sharding of the worker pool and result
 //!   cache: each shard is a full [`Service`] so one hot graph cannot
-//!   starve the rest of the catalog.
-//! - **[`server`]** — the thread-per-connection JSON-lines front end
-//!   (`pasgal serve --frontend threads`), scriptable with `nc`; kept as
-//!   the loadgen baseline.
-//! - **[`frontend`]** — the event-driven readiness-loop front end
-//!   (default): many pipelined connections per I/O thread.
+//!   starve the rest of the catalog. Also the one request dispatcher
+//!   ([`shard::handle_sharded_request`]) every wire request goes through.
+//! - **[`frontend`]** — the network front end: an event-driven readiness
+//!   loop serving many pipelined connections per I/O thread, JSON lines
+//!   (scriptable with `nc`) or the binary protocol.
+//!
+//! The network path is one chain: wire → [`EventServer`] →
+//! [`ShardedService`] → shard ([`Service`]).
 //!
 //! ```
 //! use pasgal_service::{Query, Service, ServiceConfig};
@@ -72,7 +74,6 @@ pub mod poller;
 pub mod protocol;
 pub mod query;
 pub mod resilience;
-pub mod server;
 pub mod service;
 pub mod shard;
 
@@ -87,6 +88,5 @@ pub use metrics::MetricsSnapshot;
 pub use protocol::{FrameBuf, WireMode};
 pub use query::{Answer, Query, QueryMode, Reply, ServiceError};
 pub use resilience::ResilienceConfig;
-pub use server::Server;
 pub use service::{Service, ServiceConfig};
 pub use shard::ShardedService;

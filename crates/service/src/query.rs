@@ -7,7 +7,6 @@
 //! arrays never cross the wire.
 
 use crate::json::Json;
-use crate::metrics::MetricsSnapshot;
 use pasgal_graph::overlay::Mutation;
 
 /// A graph question the service can answer.
@@ -61,8 +60,6 @@ pub enum Query {
         ops: Vec<Mutation>,
         compact: bool,
     },
-    /// Service metrics snapshot.
-    Metrics,
     /// Service readiness and resilience state (breakers, worker gauge).
     Health,
 }
@@ -80,7 +77,7 @@ impl Query {
             | Query::KCore { graph, .. }
             | Query::Stats { graph }
             | Query::Mutate { graph, .. } => Some(graph),
-            Query::Metrics | Query::Health => None,
+            Query::Health => None,
         }
     }
 
@@ -96,7 +93,6 @@ impl Query {
             Query::KCore { .. } => "kcore",
             Query::Stats { .. } => "stats",
             Query::Mutate { .. } => "mutate",
-            Query::Metrics => "metrics",
             Query::Health => "health",
         }
     }
@@ -166,11 +162,6 @@ impl Answer {
 }
 
 /// An answer to a [`Query`].
-///
-/// Replies are transient per-query values serialized straight to the
-/// wire, never stored in bulk, so the large `Metrics` variant is fine
-/// unboxed.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
     /// A single distance; `None` means unreachable.
@@ -213,8 +204,6 @@ pub enum Reply {
         n: usize,
         m: usize,
     },
-    /// Metrics snapshot.
-    Metrics(MetricsSnapshot),
     /// Service health: readiness plus resilience state.
     Health {
         /// `false` once shutdown has begun.
@@ -472,8 +461,6 @@ impl Query {
                     }
                 },
             }),
-            "metrics" => Ok(Query::Metrics),
-            "health" => Ok(Query::Health),
             other => Err(ServiceError::BadRequest(format!("unknown op {other:?}"))),
         }
     }
@@ -548,7 +535,6 @@ impl Reply {
                 ("n", Json::from(*n)),
                 ("m", Json::from(*m)),
             ]),
-            Reply::Metrics(snap) => snap.to_json(),
             Reply::Health {
                 ready,
                 workers,
@@ -656,14 +642,6 @@ mod tests {
                 graph: "g".into(),
                 vertex: None
             }
-        );
-        assert_eq!(
-            Query::from_json(&parse(r#"{"op":"metrics"}"#).unwrap()).unwrap(),
-            Query::Metrics
-        );
-        assert_eq!(
-            Query::from_json(&parse(r#"{"op":"health"}"#).unwrap()).unwrap(),
-            Query::Health
         );
     }
 

@@ -118,11 +118,6 @@ pub struct ServiceConfig {
     /// Workspace-pool memory budget in bytes driving the brownout
     /// controller's memory signal; `None` disables it.
     pub memory_budget: Option<u64>,
-    /// Revalidate cached results against each applied mutation batch
-    /// (keeping the provably-unaffected ones) instead of dropping every
-    /// entry of the graph's generation. `false` selects the
-    /// generation-nuke baseline — the benchmark's control arm.
-    pub incremental_invalidation: bool,
     /// Overlay delta size (bytes) past which a mutation batch schedules
     /// background compaction of the graph into a fresh CSR. Brownout
     /// `Pressured` and a query's `"compact":true` force compaction
@@ -148,7 +143,6 @@ impl Default for ServiceConfig {
             faults: FaultPlan::default(),
             default_deadline: None,
             memory_budget: None,
-            incremental_invalidation: true,
             compact_delta_bytes: 1 << 20,
         }
     }
@@ -485,14 +479,6 @@ impl Service {
         mode: QueryMode,
     ) -> Result<Answer, ServiceError> {
         match q {
-            Query::Metrics => {
-                // The snapshot excludes the metrics query serving it
-                // (counted in `queries` but not yet in a terminal
-                // bucket), so at quiescence the reply reconciles.
-                let mut snap = self.inner.metrics.snapshot();
-                snap.queries = snap.queries.saturating_sub(1);
-                Ok(Answer::primary(Reply::Metrics(snap)))
-            }
             Query::Health => {
                 let snap = self.inner.metrics.snapshot();
                 Ok(Answer::primary(Reply::Health {
@@ -694,8 +680,9 @@ impl Service {
     /// Apply one mutation batch: serialized per graph, atomic per batch
     /// (the batch lands on a clone of the overlay, so a panic mid-apply
     /// publishes nothing), epoch-stamped, and followed — still under the
-    /// mutation lock — by cache revalidation (or the generation nuke when
-    /// `incremental_invalidation` is off). Brownout sheds mutations
+    /// mutation lock — by cache revalidation: every cached result of the
+    /// graph's generation is kept if the batch provably cannot change it,
+    /// repaired if it can be, dropped otherwise. Brownout sheds mutations
     /// before any work; `Pressured` forces compaction after the batch.
     fn mutate(
         &self,
@@ -759,29 +746,20 @@ impl Service {
                 // generation bump already invalidated everything this
                 // batch could have staled
                 .ok_or_else(|| ServiceError::UnknownGraph(name.to_string()))?;
-            if self.inner.config.incremental_invalidation {
-                let taken = self
-                    .inner
-                    .cache
-                    .lock()
-                    .expect("cache lock poisoned")
-                    .take_generation(entry.generation);
-                let out = crate::mutate::revalidate(taken, &applied, &published.graph);
-                self.inner.metrics.cache_revalidated(out.kept);
-                self.inner.metrics.cache_dropped(out.dropped);
-                let mut cache = self.inner.cache.lock().expect("cache lock poisoned");
-                for (key, value) in out.survivors {
-                    cache.insert(key, value);
-                }
-            } else {
-                let dropped = self
-                    .inner
-                    .cache
-                    .lock()
-                    .expect("cache lock poisoned")
-                    .invalidate_generation(entry.generation);
-                self.inner.metrics.cache_dropped(dropped as u64);
+            let taken = self
+                .inner
+                .cache
+                .lock()
+                .expect("cache lock poisoned")
+                .take_generation(entry.generation);
+            let out = crate::mutate::revalidate(taken, &applied, &published.graph);
+            self.inner.metrics.cache_revalidated(out.kept);
+            self.inner.metrics.cache_dropped(out.dropped);
+            let mut cache = self.inner.cache.lock().expect("cache lock poisoned");
+            for (key, value) in out.survivors {
+                cache.insert(key, value);
             }
+            drop(cache);
             if force_compact
                 || delta_bytes >= self.inner.config.compact_delta_bytes
                 || pressure == Pressure::Pressured
@@ -2599,7 +2577,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_invalidation_retains_unaffected_entries() {
+    fn revalidation_retains_unaffected_entries() {
         let svc = small_service();
         svc.register("g", grid2d(4, 4));
         // warm a BFS cache entry from source 15, then insert an edge that
@@ -2633,28 +2611,6 @@ mod tests {
         let m = svc.metrics();
         assert_eq!(m.computations, before, "revalidated entry served the hit");
         assert!(m.cache_revalidated >= 1, "{m:?}");
-    }
-
-    #[test]
-    fn nuke_baseline_drops_everything() {
-        let svc = Service::new(ServiceConfig {
-            workers: 2,
-            queue_capacity: 16,
-            cache_capacity: 8,
-            incremental_invalidation: false,
-            ..ServiceConfig::default()
-        });
-        svc.register("g", grid2d(4, 4));
-        svc.query(&Query::CcId {
-            graph: "g".into(),
-            vertex: None,
-        })
-        .unwrap();
-        assert_eq!(svc.cache_entries(), 1);
-        svc.query(&mutate_q(vec![Mutation::InsertEdge { u: 0, v: 15, w: 1 }]))
-            .unwrap();
-        assert_eq!(svc.cache_entries(), 0);
-        assert_eq!(svc.metrics().cache_dropped, 1);
     }
 
     #[test]

@@ -10,19 +10,27 @@
 //! against graphs on other shards: admission control, queue debt, and
 //! brownout are all per-shard state.
 //!
-//! The fan-in ops (`metrics`, `health`, `list`) aggregate across shards;
-//! everything else routes by graph name. Aggregated metrics stay subject
-//! to every conservation identity because the identities are linear (see
-//! [`MetricsSnapshot::merge`]).
+//! [`handle_sharded_request`] is the one request dispatcher: the fan-in
+//! ops (`metrics`, `health`, `list`) aggregate across shards, the catalog
+//! ops (`register`, `unregister`) and every query route by graph name.
+//! Aggregated metrics stay subject to every conservation identity
+//! because the identities are linear (see [`MetricsSnapshot::merge`]).
+//!
+//! ```text
+//! {"op":"register","name":"road","path":"road.bin"}
+//! {"op":"unregister","name":"road"}
+//! {"op":"list"}
+//! ```
 
 use crate::json::Json;
 use crate::metrics::MetricsSnapshot;
-use crate::query::{Query, Reply, ServiceError};
-use crate::server;
+use crate::query::{deadline_from_json, Query, QueryMode, Reply, ServiceError};
 use crate::service::{Service, ServiceConfig};
 use pasgal_core::common::CancelToken;
-use pasgal_graph::storage::GraphStore;
+use pasgal_graph::io::load_store_by_ext;
+use pasgal_graph::storage::{GraphStore, StorageKind};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Stable 64-bit FNV-1a, the shard routing hash. Not `DefaultHasher`:
 /// routing must not change across std versions, or a restart would move
@@ -61,14 +69,6 @@ impl ShardedService {
         ShardedService { shards }
     }
 
-    /// Wrap a single existing service as a one-shard "fleet" (the
-    /// `--shards 1` path; routing degenerates to the identity).
-    pub fn from_single(service: Arc<Service>) -> ShardedService {
-        ShardedService {
-            shards: vec![service],
-        }
-    }
-
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
@@ -87,6 +87,20 @@ impl ShardedService {
         &self.shards[self.shard_index(name)]
     }
 
+    /// Index of the shard `request` runs on: catalog ops route by their
+    /// `name`, everything else by `graph`; requests that name neither
+    /// (fan-in ops, malformed ones) land on shard 0.
+    pub(crate) fn route(&self, request: &Json) -> usize {
+        let key = match request.get("op").and_then(Json::as_str) {
+            Some("register") | Some("unregister") => "name",
+            _ => "graph",
+        };
+        request
+            .get(key)
+            .and_then(Json::as_str)
+            .map_or(0, |name| self.shard_index(name))
+    }
+
     /// Register a graph on its home shard.
     pub fn register(&self, name: &str, graph: impl Into<GraphStore>) {
         self.shard_for(name).register(name, graph);
@@ -95,6 +109,25 @@ impl ShardedService {
     /// Unregister a graph from its home shard.
     pub fn unregister(&self, name: &str) -> bool {
         self.shard_for(name).unregister(name)
+    }
+
+    /// Every registered graph across the fleet, sorted by name:
+    /// `(name, n, m, storage kind, resident bytes)`.
+    pub fn list(&self) -> Vec<(String, usize, usize, StorageKind, usize)> {
+        let mut rows: Vec<_> = self
+            .shards
+            .iter()
+            .flat_map(|shard| {
+                // both catalog reports sort by name, so they zip positionally
+                let sizes = shard.catalog().list();
+                sizes
+                    .into_iter()
+                    .zip(shard.catalog().storage_report())
+                    .map(|((name, n, m), (_, kind, bytes))| (name, n, m, kind, bytes))
+            })
+            .collect();
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows
     }
 
     /// Fleet-wide metrics: every shard's snapshot merged.
@@ -115,62 +148,90 @@ impl ShardedService {
     }
 }
 
-/// Route one parsed request through the shard fleet. Fan-in ops
-/// aggregate; everything else goes to the graph's home shard via the
-/// same [`server::handle_request`] dispatch the single-shard front end
-/// uses. Requests that name no graph (including malformed ones) land on
-/// shard 0, whose parser produces the authoritative `bad_request`.
+/// Answer one parsed request against the shard fleet; never panics,
+/// always returns a JSON object with an `ok` field. Fan-in ops aggregate,
+/// catalog ops and queries go to the graph's home shard
+/// (`ShardedService::route`); a malformed request lands on shard 0,
+/// whose parser produces the authoritative `bad_request`. Queries run under
+/// `token` (the front end ties it to the client connection), narrowed by
+/// the request's own `deadline_ms` when it carries one.
 pub fn handle_sharded_request(
     sharded: &ShardedService,
     request: &Json,
     token: &CancelToken,
 ) -> Json {
-    match request.get("op").and_then(Json::as_str) {
-        Some("metrics") => sharded.merged_metrics().to_json(),
+    dispatch(sharded, request, token).unwrap_or_else(|e| e.to_json())
+}
+
+fn dispatch(
+    sharded: &ShardedService,
+    request: &Json,
+    token: &CancelToken,
+) -> Result<Json, ServiceError> {
+    let str_field = |key: &str| request.get(key).and_then(Json::as_str);
+    let bad = |msg: &str| ServiceError::BadRequest(msg.into());
+    match str_field("op") {
+        Some("metrics") => Ok(sharded.merged_metrics().to_json()),
         Some("health") => merged_health(sharded, token),
-        Some("list") => merged_list(sharded),
+        Some("list") => Ok(merged_list(sharded)),
         Some("register") => {
-            let Some(name) = request.get("name").and_then(Json::as_str) else {
-                return ServiceError::BadRequest("register needs \"name\" and \"path\"".into())
-                    .to_json();
+            let (Some(name), Some(path)) = (str_field("name"), str_field("path")) else {
+                return Err(bad("register needs \"name\" and \"path\""));
             };
-            server::handle_register(sharded.shard_for(name), request)
+            let storage = match request.get("storage") {
+                None => None,
+                Some(v) => Some(
+                    v.as_str()
+                        .ok_or_else(|| bad("\"storage\" must be a string"))?,
+                ),
+            };
+            let store = load_store_by_ext(path, storage).map_err(ServiceError::BadRequest)?;
+            let entry = sharded.shard_for(name).register(name, store);
+            Ok(Json::obj([
+                ("ok", Json::Bool(true)),
+                ("name", Json::from(name)),
+                ("n", Json::from(entry.graph.num_vertices())),
+                ("m", Json::from(entry.graph.num_edges())),
+                ("storage", Json::from(entry.storage_kind().as_str())),
+                ("generation", Json::from(entry.generation)),
+            ]))
         }
         Some("unregister") => {
-            let Some(name) = request.get("name").and_then(Json::as_str) else {
-                return ServiceError::BadRequest("missing string field \"name\"".into()).to_json();
-            };
-            server::handle_request(sharded.shard_for(name), request, token)
+            let name = str_field("name").ok_or_else(|| bad("missing string field \"name\""))?;
+            if !sharded.unregister(name) {
+                return Err(ServiceError::UnknownGraph(name.to_string()));
+            }
+            Ok(Json::obj([
+                ("ok", Json::Bool(true)),
+                ("name", Json::from(name)),
+            ]))
         }
         _ => {
-            let shard = match request.get("graph").and_then(Json::as_str) {
-                Some(name) => sharded.shard_for(name),
-                None => &sharded.shards()[0],
+            // optional "mode" ("degraded" forces the sequential fallback
+            // lane) and "deadline_ms" (end-to-end budget) ride on any query
+            let shard = &sharded.shards[sharded.route(request)];
+            let q = Query::from_json(request)?;
+            let mode = QueryMode::from_json(request)?;
+            let answer = match deadline_from_json(request)? {
+                Some(d) => shard.query_full(&q, &token.child(Some(Instant::now() + d)), mode),
+                None => shard.query_full(&q, token, mode),
             };
-            server::handle_request(shard, request, token)
+            Ok(answer?.to_json())
         }
     }
 }
 
-/// Merge every shard's `list` into one name-sorted catalog view.
+/// Every shard's `list` as one name-sorted catalog view.
 fn merged_list(sharded: &ShardedService) -> Json {
-    let mut rows: Vec<(String, usize, usize, String, usize)> = Vec::new();
-    for shard in sharded.shards() {
-        let sizes = shard.catalog().list();
-        let storage = shard.catalog().storage_report();
-        for ((name, n, m), (_, kind, bytes)) in sizes.into_iter().zip(storage) {
-            rows.push((name, n, m, kind.as_str().to_string(), bytes));
-        }
-    }
-    rows.sort();
-    let graphs = rows
+    let graphs = sharded
+        .list()
         .into_iter()
         .map(|(name, n, m, kind, bytes)| {
             Json::obj([
                 ("name", Json::from(name)),
                 ("n", Json::from(n)),
                 ("m", Json::from(m)),
-                ("storage", Json::from(kind)),
+                ("storage", Json::from(kind.as_str())),
                 ("resident_bytes", Json::from(bytes)),
             ])
         })
@@ -181,7 +242,7 @@ fn merged_list(sharded: &ShardedService) -> Json {
 /// Merge every shard's health: the fleet is ready iff every shard is,
 /// capacities and catalogs sum, breaker/storage reports concatenate
 /// (re-sorted).
-fn merged_health(sharded: &ShardedService, token: &CancelToken) -> Json {
+fn merged_health(sharded: &ShardedService, token: &CancelToken) -> Result<Json, ServiceError> {
     let mut ready = true;
     let mut workers = 0usize;
     let mut workers_busy = 0u64;
@@ -189,36 +250,35 @@ fn merged_health(sharded: &ShardedService, token: &CancelToken) -> Json {
     let mut breakers: Vec<(String, String)> = Vec::new();
     let mut storage: Vec<(String, String, usize)> = Vec::new();
     for shard in sharded.shards() {
-        match shard.query_full(&Query::Health, token, crate::query::QueryMode::Normal) {
-            Ok(answer) => match answer.reply {
-                Reply::Health {
-                    ready: r,
-                    workers: w,
-                    workers_busy: wb,
-                    graphs: g,
-                    breakers: b,
-                    storage: s,
-                } => {
-                    ready &= r;
-                    workers += w;
-                    workers_busy += wb;
-                    graphs += g;
-                    breakers.extend(b);
-                    storage.extend(s);
-                }
-                other => {
-                    return ServiceError::Internal(format!(
-                        "health produced unexpected reply {other:?}"
-                    ))
-                    .to_json()
-                }
-            },
-            Err(e) => return e.to_json(),
+        match shard
+            .query_full(&Query::Health, token, QueryMode::Normal)?
+            .reply
+        {
+            Reply::Health {
+                ready: r,
+                workers: w,
+                workers_busy: wb,
+                graphs: g,
+                breakers: b,
+                storage: s,
+            } => {
+                ready &= r;
+                workers += w;
+                workers_busy += wb;
+                graphs += g;
+                breakers.extend(b);
+                storage.extend(s);
+            }
+            other => {
+                return Err(ServiceError::Internal(format!(
+                    "health produced unexpected reply {other:?}"
+                )))
+            }
         }
     }
     breakers.sort();
     storage.sort();
-    Reply::Health {
+    Ok(Reply::Health {
         ready,
         workers,
         workers_busy,
@@ -226,12 +286,13 @@ fn merged_health(sharded: &ShardedService, token: &CancelToken) -> Json {
         breakers,
         storage,
     }
-    .to_json()
+    .to_json())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{decode_request, WireMode};
     use pasgal_graph::gen::basic::grid2d;
 
     fn fleet(shards: usize) -> ShardedService {
@@ -349,5 +410,161 @@ mod tests {
                 "{req} → {r}"
             );
         }
+    }
+
+    /// What the front end does with one JSON line: decode, then dispatch
+    /// (a line that does not decode is the front end's `bad_request`).
+    fn ask_with(fleet: &ShardedService, line: &str, token: &CancelToken) -> Json {
+        match decode_request(WireMode::Lines, line.as_bytes()) {
+            Ok(request) => handle_sharded_request(fleet, &request, token),
+            Err(msg) => ServiceError::BadRequest(msg).to_json(),
+        }
+    }
+
+    fn ask(fleet: &ShardedService, line: &str) -> Json {
+        ask_with(fleet, line, &CancelToken::new())
+    }
+
+    fn fleet_with_grid() -> ShardedService {
+        let fleet = fleet(1);
+        fleet.register("g", grid2d(6, 9));
+        fleet
+    }
+
+    #[test]
+    fn line_protocol_happy_path() {
+        let fleet = fleet_with_grid();
+        let r = ask(&fleet, r#"{"op":"bfs","graph":"g","src":0,"target":53}"#);
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(r.get("dist").unwrap().as_u64(), Some(13));
+        let r = ask(&fleet, r#"{"op":"list"}"#);
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true));
+    }
+
+    #[test]
+    fn degraded_mode_and_health_over_the_wire() {
+        let fleet = fleet_with_grid();
+        let normal = ask(&fleet, r#"{"op":"bfs","graph":"g","src":0,"target":53}"#);
+        assert_eq!(normal.get("dist").unwrap().as_u64(), Some(13));
+        assert!(normal.get("degraded").is_none(), "{normal}");
+        let deg = ask(
+            &fleet,
+            r#"{"op":"bfs","graph":"g","src":0,"target":53,"mode":"degraded"}"#,
+        );
+        assert_eq!(deg.get("dist").unwrap().as_u64(), Some(13));
+        assert_eq!(deg.get("degraded").and_then(Json::as_bool), Some(true));
+        let bad = ask(&fleet, r#"{"op":"bfs","graph":"g","src":0,"mode":"turbo"}"#);
+        assert_eq!(bad.get("kind").and_then(Json::as_str), Some("bad_request"));
+        let health = ask(&fleet, r#"{"op":"health"}"#);
+        assert_eq!(health.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(health.get("ready").and_then(Json::as_bool), Some(true));
+        assert!(health.get("workers").is_some(), "{health}");
+        assert!(health.get("breakers").is_some(), "{health}");
+    }
+
+    #[test]
+    fn line_protocol_errors() {
+        let fleet = fleet_with_grid();
+        let r = ask(&fleet, "this is not json");
+        assert_eq!(r.get("kind").unwrap().as_str(), Some("bad_request"));
+        let r = ask(&fleet, r#"{"op":"bfs","graph":"missing","src":0}"#);
+        assert_eq!(r.get("kind").unwrap().as_str(), Some("unknown_graph"));
+        let r = ask(&fleet, r#"{"op":"unregister","name":"missing"}"#);
+        assert_eq!(r.get("kind").unwrap().as_str(), Some("unknown_graph"));
+    }
+
+    #[test]
+    fn deadline_ms_over_the_wire() {
+        let fleet = fleet_with_grid();
+        // A roomy deadline changes nothing: the query is answered normally.
+        let r = ask(
+            &fleet,
+            r#"{"op":"bfs","graph":"g","src":0,"target":53,"deadline_ms":60000}"#,
+        );
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+        assert_eq!(r.get("dist").and_then(Json::as_u64), Some(13));
+        // Zero, negative, and non-integer deadlines are rejected at parse
+        // time, before any work is queued.
+        for frame in [
+            r#"{"op":"bfs","graph":"g","src":0,"deadline_ms":0}"#,
+            r#"{"op":"bfs","graph":"g","src":0,"deadline_ms":-5}"#,
+            r#"{"op":"bfs","graph":"g","src":0,"deadline_ms":"soon"}"#,
+        ] {
+            let r = ask(&fleet, frame);
+            assert_eq!(
+                r.get("kind").and_then(Json::as_str),
+                Some("bad_request"),
+                "{frame}: {r}"
+            );
+        }
+    }
+
+    #[test]
+    fn expired_deadline_maps_to_deadline_exceeded_kind() {
+        let fleet = fleet_with_grid();
+        // A connection token whose deadline has already passed: the service
+        // must refuse with the typed deadline outcome, not a timeout or a
+        // generic error — and a per-request deadline_ms cannot extend it
+        // (the effective deadline is the earliest in the chain).
+        let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+        for frame in [
+            r#"{"op":"bfs","graph":"g","src":0,"target":53}"#,
+            r#"{"op":"bfs","graph":"g","src":0,"target":53,"deadline_ms":60000}"#,
+        ] {
+            let r = ask_with(&fleet, frame, &expired);
+            assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false), "{r}");
+            assert_eq!(
+                r.get("kind").and_then(Json::as_str),
+                Some("deadline_exceeded"),
+                "{frame}: {r}"
+            );
+        }
+    }
+
+    /// Table-driven malformed frames: every one of these must produce a
+    /// single well-formed error object — never a panic, never silence.
+    #[test]
+    fn malformed_frames_get_one_error_each() {
+        let fleet = fleet_with_grid();
+        let deep = format!("{}1{}", "[".repeat(500), "]".repeat(500));
+        let unbalanced = "[".repeat(100_000);
+        let cases: [(&str, &str); 10] = [
+            ("truncated object", r#"{"op":"bfs","graph":"g""#),
+            ("truncated string", r#"{"op":"bfs","graph":"g"#),
+            ("truncated escape", r#"{"op":"\u00"#),
+            ("bare word", "hello"),
+            ("wrong op type", r#"{"op":7}"#),
+            ("unknown op", r#"{"op":"teleport","graph":"g"}"#),
+            ("missing fields", r#"{"op":"bfs"}"#),
+            ("negative vertex", r#"{"op":"bfs","graph":"g","src":-3}"#),
+            ("deeply nested", deep.as_str()),
+            ("unbalanced nesting", unbalanced.as_str()),
+        ];
+        for (what, frame) in cases {
+            let r = ask(&fleet, frame);
+            assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false), "{what}");
+            let kind = r.get("kind").and_then(Json::as_str);
+            assert_eq!(kind, Some("bad_request"), "{what}: {r}");
+        }
+        // the service still answers real queries afterwards
+        let r = ask(&fleet, r#"{"op":"stats","graph":"g"}"#);
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
+    }
+
+    #[test]
+    fn register_over_the_wire() {
+        let fleet = fleet(1);
+        let dir = pasgal_graph::io::unique_temp_dir("shard");
+        let path = dir.join("t.bin");
+        pasgal_graph::io::write_bin(&grid2d(4, 4), &path).unwrap();
+        let req = format!(
+            r#"{{"op":"register","name":"t","path":{:?}}}"#,
+            path.to_str().unwrap()
+        );
+        let r = ask(&fleet, &req);
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r}");
+        assert_eq!(r.get("n").unwrap().as_u64(), Some(16));
+        let r = ask(&fleet, r#"{"op":"kcore","graph":"t"}"#);
+        assert_eq!(r.get("degeneracy").unwrap().as_u64(), Some(2));
     }
 }

@@ -21,7 +21,8 @@ use pasgal_graph::gen::basic::grid2d;
 use pasgal_graph::overlay::Mutation;
 use pasgal_graph::storage::StorageKind;
 use pasgal_service::{
-    FaultPlan, Query, Reply, ResilienceConfig, Server, Service, ServiceConfig, ServiceError,
+    EventServer, FaultPlan, FrontendConfig, Query, Reply, ResilienceConfig, Service, ServiceConfig,
+    ServiceError, ShardedService,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -96,7 +97,7 @@ fn mixed_query(i: u32) -> Query {
             vertex: Some(v),
         },
         6 => Query::Stats { graph: "g".into() },
-        _ => Query::Metrics,
+        _ => Query::Health,
     }
 }
 
@@ -337,8 +338,14 @@ fn one_json_response_per_request_line_under_faults() {
         queue_full_every: 9,
         ..FaultPlan::default()
     };
-    let svc = service_with(faults, 2, Duration::from_millis(200));
-    let mut server = Server::spawn(Arc::clone(&svc), "127.0.0.1:0").unwrap();
+    let fleet = Arc::new(ShardedService::new(
+        chaos_config(faults, 2, Duration::from_millis(200)),
+        1,
+    ));
+    fleet.register("g", grid2d(SIDE, SIDE));
+    let svc = &fleet.shards()[0];
+    let mut server =
+        EventServer::spawn(Arc::clone(&fleet), "127.0.0.1:0", FrontendConfig::default()).unwrap();
     let addr = server.local_addr();
 
     let requests: Vec<String> = (0..60)
@@ -397,10 +404,13 @@ fn one_json_response_per_request_line_under_faults() {
     }
 
     server.shutdown();
-    wait_gauge_settles(&svc);
+    wait_gauge_settles(svc);
     let m = svc.metrics();
     assert!(m.reconciles(), "{m:?}");
     assert_eq!(m.workers_busy, 0);
+    let frames = server.stats();
+    assert!(frames.reconciles(), "{frames:?}");
+    assert_eq!(frames.frames_in, 3 * requests.len() as u64);
 }
 
 // ------------------------------------------------------------------

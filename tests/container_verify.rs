@@ -6,17 +6,18 @@
 
 use pasgal_graph::disk::{self, pack, MmapGraph};
 use pasgal_graph::gen::basic::grid2d;
+use pasgal_graph::io::{unique_temp_dir, TempDir};
 use std::path::{Path, PathBuf};
 
-fn packed_fixture(compress: bool) -> (PathBuf, Vec<u8>) {
-    let path = std::env::temp_dir().join(format!(
-        "pasgal-corrupt-{}-{}.pasgal",
-        std::process::id(),
-        compress
-    ));
+/// A packed container in a directory of the caller's own (tests here
+/// rewrite the file in place, which must never reach another test's
+/// mapping), its path, and its pristine bytes.
+fn packed_fixture(compress: bool) -> (TempDir, PathBuf, Vec<u8>) {
+    let dir = unique_temp_dir("corrupt");
+    let path = dir.join("g.pasgal");
     pack(&grid2d(9, 7), &path, compress).unwrap();
     let bytes = std::fs::read(&path).unwrap();
-    (path, bytes)
+    (dir, path, bytes)
 }
 
 fn write_flipped(path: &Path, bytes: &[u8], pos: usize) {
@@ -31,7 +32,7 @@ fn write_flipped(path: &Path, bytes: &[u8], pos: usize) {
 #[test]
 fn one_flipped_byte_always_errors_and_never_panics() {
     for compress in [false, true] {
-        let (path, bytes) = packed_fixture(compress);
+        let (_dir, path, bytes) = packed_fixture(compress);
         let positions: Vec<usize> = (0..bytes.len())
             .filter(|p| p % 13 == 0 || *p >= bytes.len().saturating_sub(16))
             .collect();
@@ -61,14 +62,13 @@ fn one_flipped_byte_always_errors_and_never_panics() {
                 "failing report must name a failing check: {report:?}"
             );
         }
-        std::fs::remove_file(&path).ok();
     }
 }
 
 /// Truncation at any strided length is likewise an error, not a panic.
 #[test]
 fn truncated_container_always_errors() {
-    let (path, bytes) = packed_fixture(false);
+    let (_dir, path, bytes) = packed_fixture(false);
     for len in (0..bytes.len()).step_by(7) {
         std::fs::write(&path, &bytes[..len]).unwrap();
         let loaded = std::panic::catch_unwind(|| MmapGraph::load(&path));
@@ -80,14 +80,13 @@ fn truncated_container_always_errors() {
         let report = disk::verify(&path).unwrap();
         assert!(!report.ok(), "verify passed a {len}-byte truncation");
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// The intact file round-trips: verify reports every check green.
 #[test]
 fn pristine_container_verifies_clean() {
     for compress in [false, true] {
-        let (path, _) = packed_fixture(compress);
+        let (_dir, path, _) = packed_fixture(compress);
         let report = disk::verify(&path).unwrap();
         assert!(report.ok(), "{report:?}");
         assert!(
@@ -96,6 +95,45 @@ fn pristine_container_verifies_clean() {
             "report should cover header and sections: {report:?}"
         );
         assert!(MmapGraph::load(&path).is_ok());
-        std::fs::remove_file(&path).ok();
     }
+}
+
+/// `pack --force` over a container that is mapped and being traversed:
+/// the traversal finishes with the old graph's answers (the mapping keeps
+/// the old inode — an in-place truncation would SIGBUS it past the new,
+/// shorter end), and a fresh load sees the new graph.
+#[test]
+fn repack_over_a_live_mapping_keeps_old_answers_and_never_faults() {
+    use pasgal_graph::storage::GraphStorage;
+
+    let dir = unique_temp_dir("repack");
+    let path = dir.join("g.pasgal");
+    let (old, new) = (grid2d(100, 100), grid2d(3, 3));
+    pack(&old, &path, false).unwrap();
+    let mapped = MmapGraph::load(&path).unwrap();
+
+    let half = old.num_vertices() as u32 / 2;
+    let scan = |from: u32, to: u32| -> Vec<Vec<u32>> {
+        (from..to).map(|v| mapped.neighbors(v).collect()).collect()
+    };
+    let mut seen = scan(0, half);
+    // the repack lands strictly between the two halves of the traversal
+    std::thread::scope(|s| {
+        s.spawn(|| disk::pack_checked(&new, &path, false, true).unwrap())
+            .join()
+            .unwrap();
+    });
+    seen.extend(scan(half, old.num_vertices() as u32));
+
+    let want: Vec<Vec<u32>> = (0..old.num_vertices() as u32)
+        .map(|v| old.neighbors(v).to_vec())
+        .collect();
+    assert_eq!(
+        seen, want,
+        "the live mapping must keep serving the old graph"
+    );
+    let fresh = MmapGraph::load(&path).unwrap();
+    assert_eq!(pasgal_graph::storage::to_plain(&fresh), new);
+    // no temp file is left beside the container
+    assert_eq!(std::fs::read_dir(dir.join("")).unwrap().count(), 1);
 }

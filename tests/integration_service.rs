@@ -4,11 +4,19 @@
 
 use pasgal_core::common::VgcConfig;
 use pasgal_graph::gen::basic::grid2d;
-use pasgal_service::{Query, Reply, Server, Service, ServiceConfig, ServiceError};
+use pasgal_service::{
+    EventServer, FrontendConfig, Query, Reply, Service, ServiceConfig, ServiceError, ShardedService,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
+
+/// The network path every deployment uses: the event front end over a
+/// shard fleet, on an ephemeral port.
+fn serve(fleet: &Arc<ShardedService>) -> EventServer {
+    EventServer::spawn(Arc::clone(fleet), "127.0.0.1:0", FrontendConfig::default()).unwrap()
+}
 
 fn test_config() -> ServiceConfig {
     ServiceConfig {
@@ -320,8 +328,9 @@ fn degraded_answers_bit_for_bit_on_a_directed_graph() {
 /// and after a shutdown drain.
 #[test]
 fn health_reports_readiness_and_goes_unready_on_drain() {
-    let svc = Arc::new(Service::new(test_config()));
-    svc.register("grid", grid2d(4, 4));
+    let fleet = Arc::new(ShardedService::new(test_config(), 1));
+    fleet.register("grid", grid2d(4, 4));
+    let svc = &fleet.shards()[0];
     match svc.query(&Query::Health).unwrap() {
         Reply::Health {
             ready,
@@ -338,7 +347,7 @@ fn health_reports_readiness_and_goes_unready_on_drain() {
         other => panic!("unexpected {other:?}"),
     }
 
-    let mut server = Server::spawn(Arc::clone(&svc), "127.0.0.1:0").unwrap();
+    let mut server = serve(&fleet);
     let stream = TcpStream::connect(server.local_addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
@@ -357,13 +366,13 @@ fn health_reports_readiness_and_goes_unready_on_drain() {
     }
 }
 
-/// Full stack over TCP: spawn the server, register via the wire protocol,
-/// query from several client threads, read metrics back as JSON.
+/// Full stack over TCP: spawn the server, query from several client
+/// threads, read metrics back as JSON.
 #[test]
 fn tcp_server_round_trip() {
-    let svc = Arc::new(Service::new(test_config()));
-    svc.register("grid", grid2d(6, 9));
-    let mut server = Server::spawn(Arc::clone(&svc), "127.0.0.1:0").unwrap();
+    let fleet = Arc::new(ShardedService::new(test_config(), 1));
+    fleet.register("grid", grid2d(6, 9));
+    let mut server = serve(&fleet);
     let addr = server.local_addr();
 
     let ask = move |req: String| -> String {

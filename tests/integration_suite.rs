@@ -71,19 +71,17 @@ fn graph_info_matches_table1_shape() {
 
 #[test]
 fn io_roundtrips_on_suite_graphs() {
-    let dir = std::env::temp_dir();
+    let dir = io::unique_temp_dir("suite");
     for name in ["LJ", "AF", "BBL"] {
         let g = pasgal_graph::gen::suite::by_name(name)
             .unwrap()
             .build(SuiteScale::Tiny);
-        let p_adj = dir.join(format!("pasgal_suite_{name}_{}.adj", std::process::id()));
-        let p_bin = dir.join(format!("pasgal_suite_{name}_{}.bin", std::process::id()));
+        let p_adj = dir.join(format!("{name}.adj"));
+        let p_bin = dir.join(format!("{name}.bin"));
         io::write_adj(&g, &p_adj).unwrap();
         io::write_bin(&g, &p_bin).unwrap();
         let a = io::read_adj(&p_adj).unwrap();
         let b = io::read_bin(&p_bin).unwrap();
-        std::fs::remove_file(&p_adj).unwrap();
-        std::fs::remove_file(&p_bin).unwrap();
         assert_eq!(g.offsets(), a.offsets(), "{name}: adj offsets");
         assert_eq!(g.targets(), a.targets(), "{name}: adj targets");
         assert_eq!(&g, &b, "{name}: bin");

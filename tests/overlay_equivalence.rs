@@ -141,8 +141,7 @@ fn compact_through(base: GraphStore, ops: &[Mutation]) -> Graph {
 
 #[test]
 fn random_mutations_compact_to_scratch_rebuild_on_every_backend() {
-    let tmp = std::env::temp_dir().join(format!("pasgal-oveq-{}", std::process::id()));
-    std::fs::create_dir_all(&tmp).unwrap();
+    let tmp = pasgal_graph::io::unique_temp_dir("oveq");
     for entry in SUITE {
         let g = entry.build(SuiteScale::Tiny);
         let mut model = Model::of(&g);
@@ -174,9 +173,7 @@ fn random_mutations_compact_to_scratch_rebuild_on_every_backend() {
             "{}: overlay-compact over mmap container diverges",
             entry.name
         );
-        std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_dir_all(&tmp).ok();
 }
 
 /// The overlay must also *answer* like the rebuilt graph, not just fold

@@ -296,16 +296,13 @@ fn io_roundtrips_arbitrary_graphs() {
         } else {
             from_edges(n, &edges)
         };
-        let dir = std::env::temp_dir();
-        let tag = format!("{}_{case:x}", std::process::id());
-        let p_adj = dir.join(format!("pasgal_prop_{tag}.adj"));
-        let p_bin = dir.join(format!("pasgal_prop_{tag}.bin"));
+        let dir = pasgal_graph::io::unique_temp_dir("prop");
+        let p_adj = dir.join("g.adj");
+        let p_bin = dir.join("g.bin");
         pasgal_graph::io::write_adj(&g, &p_adj).unwrap();
         pasgal_graph::io::write_bin(&g, &p_bin).unwrap();
         let a = pasgal_graph::io::read_adj(&p_adj).unwrap();
         let b = pasgal_graph::io::read_bin(&p_bin).unwrap();
-        let _ = std::fs::remove_file(&p_adj);
-        let _ = std::fs::remove_file(&p_bin);
         assert_eq!(g.offsets(), a.offsets(), "case {case}");
         assert_eq!(g.targets(), a.targets(), "case {case}");
         assert_eq!(g.weights(), a.weights(), "case {case}");

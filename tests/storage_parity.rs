@@ -14,16 +14,8 @@ use pasgal_graph::csr::Graph;
 use pasgal_graph::disk::{pack, MmapGraph};
 use pasgal_graph::gen::suite::{SuiteScale, SUITE};
 use pasgal_graph::gen::with_random_weights;
+use pasgal_graph::io::unique_temp_dir;
 use pasgal_graph::storage::{to_plain, GraphStorage};
-
-/// A scratch `.pasgal` path unique to this process and label.
-fn scratch(label: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "pasgal_parity_{}_{}.pasgal",
-        std::process::id(),
-        label
-    ))
-}
 
 fn assert_graphs_identical(a: &Graph, b: &impl GraphStorage, what: &str) {
     assert_eq!(a.num_vertices(), b.num_vertices(), "{what}: n");
@@ -49,23 +41,24 @@ fn assert_graphs_identical(a: &Graph, b: &impl GraphStorage, what: &str) {
 
 #[test]
 fn pack_load_roundtrips_bit_identical() {
+    let dir = unique_temp_dir("parity");
     for entry in SUITE {
         let g = with_random_weights(&entry.build(SuiteScale::Tiny), 7, 64);
         for compress in [false, true] {
-            let p = scratch(&format!("rt_{}_{}", entry.name, compress));
+            let p = dir.join(format!("rt_{}_{}", entry.name, compress));
             pack(&g, &p, compress).unwrap();
             let m = MmapGraph::load(&p).unwrap();
             assert_eq!(m.is_compressed(), compress, "{}", entry.name);
             assert_graphs_identical(&g, &m, &format!("{} compress={compress}", entry.name));
             // decoding the container back to plain CSR is also exact
             assert_eq!(to_plain(&m), g, "{} to_plain", entry.name);
-            std::fs::remove_file(&p).unwrap();
         }
     }
 }
 
 #[test]
 fn bfs_parity_across_backends() {
+    let dir = unique_temp_dir("parity");
     for entry in SUITE {
         let g = entry.build(SuiteScale::Tiny);
         let cfg = VgcConfig::with_tau(64);
@@ -77,16 +70,16 @@ fn bfs_parity_across_backends() {
             "{} compressed",
             entry.name
         );
-        let p = scratch(&format!("bfs_{}", entry.name));
+        let p = dir.join(format!("bfs_{}", entry.name));
         pack(&g, &p, true).unwrap();
         let m = MmapGraph::load(&p).unwrap();
         assert_eq!(bfs_vgc(&m, 0, &cfg).dist, want.dist, "{} mmap", entry.name);
-        std::fs::remove_file(&p).unwrap();
     }
 }
 
 #[test]
 fn sssp_parity_across_backends() {
+    let dir = unique_temp_dir("parity");
     for entry in SUITE {
         let g = with_random_weights(&entry.build(SuiteScale::Tiny), 11, 100);
         let cfg = RhoConfig::default();
@@ -98,7 +91,7 @@ fn sssp_parity_across_backends() {
             "{} compressed",
             entry.name
         );
-        let p = scratch(&format!("sssp_{}", entry.name));
+        let p = dir.join(format!("sssp_{}", entry.name));
         pack(&g, &p, true).unwrap();
         let m = MmapGraph::load(&p).unwrap();
         assert_eq!(
@@ -107,12 +100,12 @@ fn sssp_parity_across_backends() {
             "{} mmap",
             entry.name
         );
-        std::fs::remove_file(&p).unwrap();
     }
 }
 
 #[test]
 fn scc_parity_across_backends() {
+    let dir = unique_temp_dir("parity");
     use pasgal_core::common::canonicalize_labels;
     for entry in SUITE {
         let g = entry.build(SuiteScale::Tiny);
@@ -128,7 +121,7 @@ fn scc_parity_across_backends() {
             "{} compressed labels",
             entry.name
         );
-        let p = scratch(&format!("scc_{}", entry.name));
+        let p = dir.join(format!("scc_{}", entry.name));
         pack(&g, &p, false).unwrap();
         let m = MmapGraph::load(&p).unwrap();
         let got = scc_vgc(&m, &cfg);
@@ -139,6 +132,5 @@ fn scc_parity_across_backends() {
             "{} mmap labels",
             entry.name
         );
-        std::fs::remove_file(&p).unwrap();
     }
 }
