@@ -18,6 +18,12 @@
 //! core on an answer nobody wants. An abandoned flight is replaced by a
 //! fresh one on the next [`Batcher::join`] for its key.
 //!
+//! Flights are registered under the **snapshot** they compute against —
+//! the graph's `(generation, epoch)` — so a query joins only a flight
+//! that answers at the epoch the query itself looked up. A flight that
+//! started before a mutation batch keeps serving its own joiners; a
+//! query issued after the batch opens a flight of its own.
+//!
 //! Lock order is always `inflight` map → `Flight::state`, so joining and
 //! completing cannot deadlock.
 
@@ -243,6 +249,21 @@ impl Flight {
             .map_err(|_| WaitTimeout)
     }
 
+    /// Publish the terminal outcome and wake every waiter; returns the
+    /// batch size. `on_complete` runs with the batch size while the
+    /// flight is still locked — strictly before any waiter observes the
+    /// result — so bookkeeping (metrics) is visible by the time a query
+    /// returns.
+    fn publish(&self, outcome: FlightOutcome, on_complete: impl FnOnce(u64)) -> u64 {
+        let mut st = self.shared.state.lock().expect("flight lock poisoned");
+        let joiners = st.joiners;
+        st.result = Some(outcome);
+        on_complete(joiners);
+        drop(st);
+        self.shared.cv.notify_all();
+        joiners
+    }
+
     fn depart(&self, mut st: MutexGuard<'_, FlightState>, why: WaitAbort) -> WaitAbort {
         st.waiting -= 1;
         if st.waiting == 0 && st.result.is_none() {
@@ -260,10 +281,11 @@ pub enum Join {
     Follower(Arc<Flight>),
 }
 
-/// Registry of in-flight computations, keyed by [`ComputeKey`].
+/// Registry of in-flight computations, keyed by [`ComputeKey`] plus the
+/// epoch of the snapshot the flight computes against.
 #[derive(Default)]
 pub struct Batcher {
-    inflight: Mutex<HashMap<ComputeKey, Arc<Flight>>>,
+    inflight: Mutex<HashMap<(ComputeKey, u64), Arc<Flight>>>,
 }
 
 impl Batcher {
@@ -271,9 +293,9 @@ impl Batcher {
         Self::default()
     }
 
-    /// Join the flight for `key` without a deadline (the joiner rides
-    /// best-effort under the server timeout).
-    pub fn join(&self, key: ComputeKey) -> Join {
+    /// Join the flight for `key` (a compute key at an epoch) without a
+    /// deadline (the joiner rides best-effort under the server timeout).
+    pub fn join(&self, key: (ComputeKey, u64)) -> Join {
         self.join_with_deadline(key, None)
     }
 
@@ -283,7 +305,7 @@ impl Batcher {
     /// joiner makes it unbounded). An abandoned flight with no result is
     /// dead — its worker is aborting — so it is replaced by a fresh
     /// flight with a fresh leader.
-    pub fn join_with_deadline(&self, key: ComputeKey, deadline: Option<Instant>) -> Join {
+    pub fn join_with_deadline(&self, key: (ComputeKey, u64), deadline: Option<Instant>) -> Join {
         let mut map = self.inflight.lock().expect("batcher lock poisoned");
         if let Some(flight) = map.get(&key) {
             let mut st = flight.shared.state.lock().expect("flight lock poisoned");
@@ -305,16 +327,14 @@ impl Batcher {
     /// Callers must insert a `Value` outcome into the cache *before*
     /// calling this, so a query that misses the retiring flight finds the
     /// cache entry instead of recomputing. `on_complete` runs with the
-    /// batch size while the flight is still locked — i.e. strictly before
-    /// any waiter observes the result — so bookkeeping (metrics) is
-    /// visible by the time a query returns.
+    /// batch size strictly before any waiter observes the result.
     ///
     /// The map entry is removed only if it still points at *this* flight:
     /// an abandoned flight may already have been replaced by a fresh one,
     /// which must not be torn down by the old worker retiring.
     pub fn complete(
         &self,
-        key: &ComputeKey,
+        key: &(ComputeKey, u64),
         flight: &Arc<Flight>,
         outcome: FlightOutcome,
         on_complete: impl FnOnce(u64),
@@ -325,13 +345,7 @@ impl Batcher {
                 map.remove(key);
             }
         }
-        let mut st = flight.shared.state.lock().expect("flight lock poisoned");
-        let joiners = st.joiners;
-        st.result = Some(outcome);
-        on_complete(joiners);
-        drop(st);
-        flight.shared.cv.notify_all();
-        joiners
+        flight.publish(outcome, on_complete)
     }
 
     /// Fire every in-flight token (service shutdown): workers observe the
@@ -355,11 +369,12 @@ impl Batcher {
 /// An open multi-source BFS batch: the collector behind the `oracle`
 /// query family. Where a [`Flight`] coalesces queries for the *same*
 /// key, an `OracleBatch` coalesces queries for *distinct* sources on one
-/// graph generation — they accumulate into a single source list and are
+/// graph snapshot — they accumulate into a single source list and are
 /// answered by one bit-parallel traversal
 /// ([`pasgal_core::multi::multi_bfs`]-family), up to the word-width cap.
 pub struct OracleBatch {
-    generation: u64,
+    /// The `(generation, epoch)` every source of this batch targets.
+    snapshot: (u64, u64),
     state: Mutex<OracleBatchState>,
     flight: Arc<Flight>,
 }
@@ -373,20 +388,15 @@ struct OracleBatchState {
 }
 
 impl OracleBatch {
-    fn new(generation: u64, src: u32, deadline: Option<Instant>) -> Self {
+    fn new(snapshot: (u64, u64), src: u32, deadline: Option<Instant>) -> Self {
         Self {
-            generation,
+            snapshot,
             state: Mutex::new(OracleBatchState {
                 sources: vec![src],
                 sealed: false,
             }),
             flight: Arc::new(Flight::new(deadline)),
         }
-    }
-
-    /// The graph generation every source of this batch targets.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The shared flight every boarded query waits on.
@@ -434,9 +444,10 @@ pub enum OracleJoin {
     Follower(Arc<OracleBatch>),
 }
 
-/// Registry of open multi-source batches, one per graph generation.
+/// Registry of multi-source batches, at most one boarding per graph
+/// snapshot `(generation, epoch)`.
 ///
-/// Lifecycle: the first query for a generation becomes the **leader**,
+/// Lifecycle: the first query for a snapshot becomes the **leader**,
 /// opens a batch, and enqueues it; queries arriving while the job sits in
 /// the admission queue board as **followers**, each adding its (distinct)
 /// source. The worker picking the job up calls [`seal`](Self::seal) —
@@ -448,7 +459,11 @@ pub enum OracleJoin {
 ///
 /// [`DistanceOracle`]: pasgal_core::multi::DistanceOracle
 pub struct OracleBatcher {
-    open: Mutex<HashMap<u64, Arc<OracleBatch>>>,
+    /// Every batch from open to [`complete`](Self::complete), oldest
+    /// first. Only the newest batch of a snapshot may still board;
+    /// sealed, full and superseded batches stay listed so
+    /// [`cancel_all`](Self::cancel_all) reaches a running flight.
+    live: Mutex<Vec<Arc<OracleBatch>>>,
     max_sources: usize,
     /// Live seat limit ≤ `max_sources`, lowered by the brownout
     /// controller under pressure (narrower flights finish sooner and
@@ -462,7 +477,7 @@ impl OracleBatcher {
     pub fn new(max_sources: usize) -> Self {
         let max_sources = max_sources.clamp(1, pasgal_core::multi::MAX_SOURCES);
         Self {
-            open: Mutex::new(HashMap::new()),
+            live: Mutex::new(Vec::new()),
             max_sources,
             width_cap: AtomicUsize::new(max_sources),
         }
@@ -481,91 +496,70 @@ impl OracleBatcher {
         self.width_cap.load(Ordering::Relaxed)
     }
 
-    /// Board the open batch for `generation` without a deadline.
-    pub fn join(&self, generation: u64, src: u32) -> OracleJoin {
-        self.join_with_deadline(generation, src, None)
+    /// Board the batch for `snapshot` (`(generation, epoch)`) without a
+    /// deadline.
+    pub fn join(&self, snapshot: (u64, u64), src: u32) -> OracleJoin {
+        self.join_with_deadline(snapshot, src, None)
     }
 
-    /// Board the open batch for `generation`, opening a fresh one (as
-    /// leader) if there is none, or if the open batch is sealed, full, or
+    /// Board the newest batch for `snapshot`, opening a fresh one (as
+    /// leader) if there is none, or if that batch is sealed, full, or
     /// abandoned. The joiner's `deadline` is stamped onto the batch
     /// flight exactly like [`Batcher::join_with_deadline`].
     pub fn join_with_deadline(
         &self,
-        generation: u64,
+        snapshot: (u64, u64),
         src: u32,
         deadline: Option<Instant>,
     ) -> OracleJoin {
         let cap = self.width_cap();
-        let mut map = self.open.lock().expect("oracle batcher lock poisoned");
-        if let Some(batch) = map.get(&generation) {
+        let mut live = self.live.lock().expect("oracle batcher lock poisoned");
+        if let Some(batch) = live.iter().rev().find(|b| b.snapshot == snapshot) {
             if batch.try_add(src, cap, deadline) {
                 return OracleJoin::Follower(Arc::clone(batch));
             }
         }
-        let batch = Arc::new(OracleBatch::new(generation, src, deadline));
-        map.insert(generation, Arc::clone(&batch));
+        let batch = Arc::new(OracleBatch::new(snapshot, src, deadline));
+        live.push(Arc::clone(&batch));
         OracleJoin::Leader(batch)
     }
 
     /// Worker-side: close boarding and snapshot the source list to
-    /// compute. Also retires the batch from the open map (guarded by
-    /// pointer identity — a replaced batch must not tear down its
-    /// successor), so the next join opens a fresh one.
+    /// compute. The next join for the snapshot opens a fresh batch; this
+    /// one stays live (and cancellable) until [`complete`](Self::complete).
     pub fn seal(&self, batch: &Arc<OracleBatch>) -> Vec<u32> {
-        self.retire(batch);
         let mut st = batch.state.lock().expect("oracle batch lock poisoned");
         st.sealed = true;
         st.sources.clone()
     }
 
-    /// Publish the batch's terminal outcome, waking every waiter; same
-    /// contract as [`Batcher::complete`] (cache before completing;
-    /// `on_complete` runs under the flight lock with the batch size).
-    /// Also retires the batch, since a rejected leader completes without
-    /// ever sealing.
+    /// Retire the batch and publish its terminal outcome, waking every
+    /// waiter; same contract as [`Batcher::complete`].
     pub fn complete(
         &self,
         batch: &Arc<OracleBatch>,
         outcome: FlightOutcome,
         on_complete: impl FnOnce(u64),
     ) -> u64 {
-        self.retire(batch);
-        let mut st = batch
-            .flight
-            .shared
-            .state
+        self.live
             .lock()
-            .expect("flight lock poisoned");
-        let joiners = st.joiners;
-        st.result = Some(outcome);
-        on_complete(joiners);
-        drop(st);
-        batch.flight.shared.cv.notify_all();
-        joiners
+            .expect("oracle batcher lock poisoned")
+            .retain(|b| !Arc::ptr_eq(b, batch));
+        batch.flight.publish(outcome, on_complete)
     }
 
-    fn retire(&self, batch: &Arc<OracleBatch>) {
-        let mut map = self.open.lock().expect("oracle batcher lock poisoned");
-        if map
-            .get(&batch.generation)
-            .is_some_and(|b| Arc::ptr_eq(b, batch))
-        {
-            map.remove(&batch.generation);
-        }
-    }
-
-    /// Fire every open batch's flight token (service shutdown).
+    /// Fire every live batch's flight token (service shutdown), running
+    /// ones included.
     pub fn cancel_all(&self) {
-        let map = self.open.lock().expect("oracle batcher lock poisoned");
-        for batch in map.values() {
+        let live = self.live.lock().expect("oracle batcher lock poisoned");
+        for batch in live.iter() {
             batch.flight.token.cancel();
         }
     }
 
-    /// Number of batches currently boarding or queued.
+    /// Number of batches currently boarding, queued or running.
     pub fn open_batches(&self) -> usize {
-        self.open
+        self.live
             .lock()
             .expect("oracle batcher lock poisoned")
             .len()
@@ -577,8 +571,8 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn key(src: u32) -> ComputeKey {
-        ComputeKey::Dists { generation: 0, src }
+    fn key(src: u32) -> (ComputeKey, u64) {
+        (ComputeKey::Dists { generation: 0, src }, 0)
     }
 
     fn value() -> ComputeValue {
@@ -848,20 +842,20 @@ mod tests {
         let b = OracleBatcher::new(64);
         let near = Instant::now() + Duration::from_millis(50);
         let far = Instant::now() + Duration::from_secs(50);
-        let leader = match b.join_with_deadline(3, 1, Some(near)) {
+        let leader = match b.join_with_deadline((3, 0), 1, Some(near)) {
             OracleJoin::Leader(batch) => batch,
             _ => panic!("first join must lead"),
         };
         assert_eq!(leader.flight().deadline(), Some(near));
         assert!(matches!(
-            b.join_with_deadline(3, 2, Some(far)),
+            b.join_with_deadline((3, 0), 2, Some(far)),
             OracleJoin::Follower(_)
         ));
         assert_eq!(leader.flight().deadline(), Some(far));
         // brownout narrows future boarding to 2 seats: the third distinct
         // source overflows to a fresh batch
         b.set_width_cap(2);
-        assert!(matches!(b.join(3, 9), OracleJoin::Leader(_)));
+        assert!(matches!(b.join((3, 0), 9), OracleJoin::Leader(_)));
         assert_eq!(b.width_cap(), 2);
         // restore (clamped to max_sources)
         b.set_width_cap(usize::MAX);
@@ -880,19 +874,19 @@ mod tests {
     #[test]
     fn oracle_batch_collects_distinct_sources_until_sealed() {
         let b = OracleBatcher::new(64);
-        let leader = match b.join(5, 10) {
+        let leader = match b.join((5, 0), 10) {
             OracleJoin::Leader(batch) => batch,
             OracleJoin::Follower(_) => panic!("first join must lead"),
         };
-        assert!(matches!(b.join(5, 11), OracleJoin::Follower(_)));
-        assert!(matches!(b.join(5, 10), OracleJoin::Follower(_))); // dup rides
+        assert!(matches!(b.join((5, 0), 11), OracleJoin::Follower(_)));
+        assert!(matches!(b.join((5, 0), 10), OracleJoin::Follower(_))); // dup rides
         assert_eq!(b.open_batches(), 1);
         // a different generation opens its own batch
-        assert!(matches!(b.join(6, 10), OracleJoin::Leader(_)));
+        assert!(matches!(b.join((6, 0), 10), OracleJoin::Leader(_)));
         let sources = b.seal(&leader);
         assert_eq!(sources, vec![10, 11]); // dup collapsed
                                            // sealed: the next join for generation 5 opens a fresh batch
-        let fresh = match b.join(5, 12) {
+        let fresh = match b.join((5, 0), 12) {
             OracleJoin::Leader(batch) => batch,
             OracleJoin::Follower(_) => panic!("sealed batch must be replaced"),
         };
@@ -905,14 +899,14 @@ mod tests {
     #[test]
     fn oracle_batch_full_batch_overflows_to_a_fresh_one() {
         let b = OracleBatcher::new(2);
-        let first = match b.join(0, 1) {
+        let first = match b.join((0, 0), 1) {
             OracleJoin::Leader(batch) => batch,
             _ => panic!("first join must lead"),
         };
-        assert!(matches!(b.join(0, 2), OracleJoin::Follower(_)));
+        assert!(matches!(b.join((0, 0), 2), OracleJoin::Follower(_)));
         // seat 3 does not fit; a duplicate of a seated source still rides
-        assert!(matches!(b.join(0, 1), OracleJoin::Follower(_)));
-        let second = match b.join(0, 3) {
+        assert!(matches!(b.join((0, 0), 1), OracleJoin::Follower(_)));
+        let second = match b.join((0, 0), 3) {
             OracleJoin::Leader(batch) => batch,
             OracleJoin::Follower(_) => panic!("full batch must overflow"),
         };
@@ -927,13 +921,13 @@ mod tests {
     #[test]
     fn oracle_batch_waiters_share_the_flight_outcome() {
         let b = Arc::new(OracleBatcher::new(64));
-        let leader = match b.join(1, 0) {
+        let leader = match b.join((1, 0), 0) {
             OracleJoin::Leader(batch) => batch,
             _ => panic!("first join must lead"),
         };
         let waiter = {
             let b = Arc::clone(&b);
-            std::thread::spawn(move || match b.join(1, 7) {
+            std::thread::spawn(move || match b.join((1, 0), 7) {
                 OracleJoin::Follower(batch) => batch.flight().wait(Duration::from_secs(5)),
                 OracleJoin::Leader(_) => panic!("second join must follow"),
             })
@@ -953,7 +947,7 @@ mod tests {
     #[test]
     fn abandoned_oracle_batch_is_replaced_on_next_join() {
         let b = OracleBatcher::new(64);
-        let leader = match b.join(2, 4) {
+        let leader = match b.join((2, 0), 4) {
             OracleJoin::Leader(batch) => batch,
             _ => panic!("first join must lead"),
         };
@@ -965,13 +959,33 @@ mod tests {
             Err(WaitAbort::Timeout)
         ));
         assert!(leader.flight().token().is_cancelled());
-        let fresh = match b.join(2, 4) {
+        let fresh = match b.join((2, 0), 4) {
             OracleJoin::Leader(batch) => batch,
             OracleJoin::Follower(_) => panic!("abandoned batch must be replaced"),
         };
         assert!(!fresh.flight().token().is_cancelled());
+        // shutdown reaches a sealed (running) batch, not only boarding ones
+        b.seal(&fresh);
         b.cancel_all();
         assert!(fresh.flight().token().is_cancelled());
+    }
+
+    /// A joiner at a later epoch of the same key (or, for oracle columns,
+    /// of the same generation) opens its own flight.
+    #[test]
+    fn later_epoch_never_joins_an_earlier_flight() {
+        let b = Batcher::new();
+        let k = ComputeKey::Dists {
+            generation: 0,
+            src: 1,
+        };
+        assert!(matches!(b.join((k, 0)), Join::Leader(_)));
+        assert!(matches!(b.join((k, 1)), Join::Leader(_)));
+        assert!(matches!(b.join((k, 0)), Join::Follower(_)));
+        let o = OracleBatcher::new(64);
+        assert!(matches!(o.join((0, 0), 1), OracleJoin::Leader(_)));
+        assert!(matches!(o.join((0, 1), 2), OracleJoin::Leader(_)));
+        assert!(matches!(o.join((0, 0), 2), OracleJoin::Follower(_)));
     }
 
     #[test]

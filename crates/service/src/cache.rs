@@ -68,21 +68,6 @@ impl ComputeKey {
         )
     }
 
-    /// The same key re-targeted at a different graph generation. Retries
-    /// use this to follow a re-registered graph instead of computing
-    /// against the stale generation they started with.
-    pub fn with_generation(self, generation: u64) -> Self {
-        match self {
-            ComputeKey::HopDists { src, .. } => ComputeKey::HopDists { generation, src },
-            ComputeKey::Dists { src, .. } => ComputeKey::Dists { generation, src },
-            ComputeKey::SccLabels { .. } => ComputeKey::SccLabels { generation },
-            ComputeKey::CcLabels { .. } => ComputeKey::CcLabels { generation },
-            ComputeKey::Coreness { .. } => ComputeKey::Coreness { generation },
-            ComputeKey::OracleColumn { src, .. } => ComputeKey::OracleColumn { generation, src },
-            ComputeKey::OracleAllPairs { .. } => ComputeKey::OracleAllPairs { generation },
-        }
-    }
-
     /// Stable human-readable identity, used by the `health` query to name
     /// breakers: `op@generation[:src]`.
     pub fn describe(&self) -> String {
@@ -323,8 +308,6 @@ mod tests {
         let col = |src| ComputeKey::OracleColumn { generation: 3, src };
         let all = ComputeKey::OracleAllPairs { generation: 3 };
         assert!(col(0).is_distance() && all.is_distance());
-        assert_eq!(all.with_generation(4).generation(), 4);
-        assert_eq!(col(7).with_generation(4), col(7).with_generation(4));
         assert_eq!(col(7).describe(), "oracle@3:7");
         assert_eq!(all.describe(), "oracle@3:*");
         c.insert(col(0), oracle_val());

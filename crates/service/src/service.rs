@@ -1,13 +1,16 @@
 //! The query executor: admission control, worker pool, resilience, and
 //! dispatch onto the `pasgal-core` algorithms.
 //!
-//! A query's life: check the [`ResultCache`] → consult the per-key
-//! circuit breaker → on miss, join the [`Batcher`]'s flight for its
-//! [`ComputeKey`] → the flight leader submits one job to a **bounded**
-//! queue (full queue = [`FlightOutcome::Overloaded`], never unbounded
-//! memory growth) → a worker runs the traversal once, caches it, and
-//! wakes the whole batch → each waiter extracts its answer from the
-//! shared result. Waiters give up after the configured timeout
+//! A query's life: look the graph up, pinning its `(generation, epoch)`
+//! → plan a [`ComputeKey`] → check the [`ResultCache`] → consult the
+//! per-key circuit breaker → on miss, join the flight for that key *at
+//! that epoch* (a [`Batcher`] flight, or the snapshot's multi-source
+//! batch for oracle columns) → the leader passes cost-aware admission
+//! and submits one job to a **bounded** queue (full queue =
+//! [`FlightOutcome::Overloaded`]) → a worker runs the traversal once and
+//! wakes the whole batch. Both kinds of flight share one leader path and
+//! one worker path. The answer is as of the pinned epoch; it is cached
+//! only if that epoch is still current. Waiters give up after the timeout
 //! ([`ServiceError::Timeout`]) but the computation keeps running — and
 //! populates the cache — *as long as anyone is still waiting on it*.
 //! When the **last** waiter gives up, the flight's [`CancelToken`] fires,
@@ -18,10 +21,12 @@
 //!
 //! Retryable outcomes (worker panic, injected fault, transient overload)
 //! are retried up to [`ResilienceConfig::max_retries`] times with
-//! decorrelated-jitter backoff; each retry **re-enters the batcher**, so
-//! concurrent queries ride the retried flight instead of duplicating
-//! work. A key whose flights keep failing trips its circuit breaker and
-//! sheds to the **degraded lane**: a dedicated fallback worker running
+//! decorrelated-jitter backoff; each retry **re-runs the request** —
+//! lookup, vertex checks, key choice — against whatever graph the name
+//! points to now, and re-enters the batcher, so concurrent queries ride
+//! the retried flight instead of duplicating work. A key whose flights
+//! keep failing trips its circuit breaker and sheds to the **degraded
+//! lane**: a dedicated fallback worker running
 //! the *sequential* core algorithms (`bfs_seq`, Dijkstra, Tarjan,
 //! sequential union-find, Batagelj–Zaveršnik) behind its own
 //! single-flight batcher and bounded queue. Degraded answers are marked
@@ -148,26 +153,25 @@ impl Default for ServiceConfig {
     }
 }
 
+/// One flight's job. A keyed flight has no `batch`; an oracle-column
+/// flight carries the multi-source batch it computes (still boarding
+/// until the worker seals it), and `key` is its leader's column key. The
+/// fallback lane carries keyed jobs only — a degraded oracle query is a
+/// per-column job like any other.
 struct Job {
     key: ComputeKey,
+    /// The snapshot the flight computes against, pinned at lookup.
     entry: Arc<GraphEntry>,
     flight: Arc<Flight>,
+    batch: Option<Arc<OracleBatch>>,
     /// Admission estimate charged to the debt ledger; the worker settles
     /// exactly this amount on every completion path.
     cost: Duration,
 }
 
-/// What the primary queue carries: a keyed single-flight job, or a
-/// multi-source oracle batch (still boarding until the worker seals it).
-/// The fallback lane carries plain [`Job`]s only — a degraded oracle
-/// query is a per-column job like any other.
+/// What the primary queue carries.
 enum Work {
-    Single(Job),
-    Oracle {
-        batch: Arc<OracleBatch>,
-        entry: Arc<GraphEntry>,
-        cost: Duration,
-    },
+    Flight(Job),
     /// Fold the named graph's mutation overlay into a fresh CSR. Guarded
     /// by `(generation, epoch)`: if either moved by the time the job
     /// runs (re-registration, another batch), the compaction is stale
@@ -187,8 +191,8 @@ struct Inner {
     /// primary one so a degraded flight never masks (or is masked by) a
     /// parallel flight for the same key.
     degraded_batcher: Batcher,
-    /// Collector of multi-source oracle batches (one open batch per graph
-    /// generation); distinct sources board until a worker seals the batch.
+    /// Collector of multi-source oracle batches (one boarding batch per
+    /// graph snapshot); distinct sources board until a worker seals it.
     oracle_batcher: OracleBatcher,
     breakers: BreakerRegistry,
     metrics: Metrics,
@@ -516,165 +520,13 @@ impl Service {
                     max_degree: d.max,
                 }))
             }
-            Query::BfsDist { graph, src, target } => {
-                let entry = self.lookup(graph)?;
-                check_vertex(&entry, *src)?;
-                if let Some(t) = target {
-                    check_vertex(&entry, *t)?;
-                }
-                let key = ComputeKey::HopDists {
-                    generation: entry.generation,
-                    src: *src,
-                };
-                match self.obtain(key, &entry, cancel, mode)? {
-                    (ComputeValue::HopDists { dist, .. }, degraded) => Ok(Answer {
-                        reply: hop_reply(&dist, *target),
-                        degraded,
-                    }),
-                    _ => Err(ServiceError::Internal("wrong result kind".into())),
-                }
-            }
-            Query::SsspDist { graph, src, target } => {
-                let entry = self.lookup(graph)?;
-                check_vertex(&entry, *src)?;
-                if let Some(t) = target {
-                    check_vertex(&entry, *t)?;
-                }
-                let (dist, degraded) = self.sssp_dists(&entry, *src, cancel, mode)?;
-                Ok(Answer {
-                    reply: weight_reply(&dist, *target),
-                    degraded,
-                })
-            }
-            Query::Ptp { graph, src, dst } => {
-                let entry = self.lookup(graph)?;
-                check_vertex(&entry, *src)?;
-                check_vertex(&entry, *dst)?;
-                // On a symmetric graph d(s,t) = d(t,s), so both directions
-                // canonicalize to one key: `s→t` and `t→s` coalesce into
-                // one flight and one cached distance array.
-                let (src, dst) = canonical_pair(&entry, *src, Some(*dst));
-                let dst = dst.expect("ptp always has a target");
-                let (dist, degraded) = self.sssp_dists(&entry, src, cancel, mode)?;
-                Ok(Answer {
-                    reply: weight_reply(&dist, Some(dst)),
-                    degraded,
-                })
-            }
-            Query::Oracle { graph, src, dst } => {
-                let entry = self.lookup(graph)?;
-                check_vertex(&entry, *src)?;
-                if let Some(d) = dst {
-                    check_vertex(&entry, *d)?;
-                }
-                let (src, dst) = canonical_pair(&entry, *src, *dst);
-                // Small graphs get a resident all-pairs oracle: every
-                // query on the graph shares ONE key, so the existing
-                // single-flight/retry/breaker/degraded machinery serves
-                // maximal coalescing for free. Larger graphs take the
-                // per-column path where distinct sources board one
-                // multi-source flight. Under pressure, *new* all-pairs
-                // promotion stops (it is the most memory- and time-hungry
-                // flight the service runs) but an oracle already in cache
-                // keeps serving through its key.
-                let n = entry.graph.num_vertices();
-                let all_pairs = ComputeKey::OracleAllPairs {
-                    generation: entry.generation,
-                };
-                let resident = n <= self.inner.config.oracle_resident_max.min(MAX_SOURCES);
-                let key = if resident
-                    && (self.inner.brownout.state() == Pressure::Normal
-                        || self.cache_has(&all_pairs))
-                {
-                    all_pairs
-                } else {
-                    ComputeKey::OracleColumn {
-                        generation: entry.generation,
-                        src,
-                    }
-                };
-                match self.obtain(key, &entry, cancel, mode)? {
-                    (ComputeValue::Oracle { oracle, .. }, degraded) => Ok(Answer {
-                        reply: oracle_reply(&oracle, src, dst)?,
-                        degraded,
-                    }),
-                    _ => Err(ServiceError::Internal("wrong result kind".into())),
-                }
-            }
-            Query::SccId { graph, vertex } => {
-                let entry = self.lookup(graph)?;
-                self.label_reply(
-                    &entry,
-                    ComputeKey::SccLabels {
-                        generation: entry.generation,
-                    },
-                    *vertex,
-                    cancel,
-                    mode,
-                )
-            }
-            Query::CcId { graph, vertex } => {
-                let entry = self.lookup(graph)?;
-                self.label_reply(
-                    &entry,
-                    ComputeKey::CcLabels {
-                        generation: entry.generation,
-                    },
-                    *vertex,
-                    cancel,
-                    mode,
-                )
-            }
-            Query::KCore { graph, vertex } => {
-                let entry = self.lookup(graph)?;
-                if let Some(v) = vertex {
-                    check_vertex(&entry, *v)?;
-                }
-                let key = ComputeKey::Coreness {
-                    generation: entry.generation,
-                };
-                match self.obtain(key, &entry, cancel, mode)? {
-                    (
-                        ComputeValue::Coreness {
-                            coreness,
-                            degeneracy,
-                            ..
-                        },
-                        degraded,
-                    ) => Ok(Answer {
-                        reply: match vertex {
-                            Some(v) => Reply::Coreness {
-                                vertex: *v,
-                                coreness: coreness[*v as usize],
-                                degeneracy,
-                            },
-                            None => Reply::CorenessSummary { degeneracy },
-                        },
-                        degraded,
-                    }),
-                    _ => Err(ServiceError::Internal("wrong result kind".into())),
-                }
-            }
             Query::Mutate {
                 graph,
                 ops,
                 compact,
             } => self.mutate(graph, ops, *compact),
+            _ => self.serve(q, cancel, mode),
         }
-    }
-
-    /// The per-graph mutation lock, created on first use. The map only
-    /// ever grows, but entries are a name plus an `Arc<Mutex<()>>` —
-    /// negligible next to the graph itself.
-    fn mutation_lock(&self, name: &str) -> Arc<Mutex<()>> {
-        Arc::clone(
-            self.inner
-                .mutation_locks
-                .lock()
-                .expect("mutation-locks lock poisoned")
-                .entry(name.to_string())
-                .or_default(),
-        )
     }
 
     /// Apply one mutation batch: serialized per graph, atomic per batch
@@ -690,7 +542,7 @@ impl Service {
         ops: &[Mutation],
         force_compact: bool,
     ) -> Result<Answer, ServiceError> {
-        let lock = self.mutation_lock(name);
+        let lock = self.inner.mutation_lock(name);
         let _guard = lock.lock().expect("mutation lock poisoned");
         let entry = self.lookup(name)?;
         // the shed-or-apply decision point: `mutate_queries` counts
@@ -804,165 +656,174 @@ impl Service {
             .ok_or_else(|| ServiceError::UnknownGraph(name.to_string()))
     }
 
-    fn sssp_dists(
+    /// A flight query end to end, with bounded retry around the whole
+    /// request. Every attempt — the first, and each retry after its
+    /// backoff — re-plans from the graph name, so a retry sees a
+    /// re-registered or mutated graph exactly as a fresh request would:
+    /// out-of-range vertices are refused, and the oracle path is chosen
+    /// again.
+    fn serve(
         &self,
-        entry: &Arc<GraphEntry>,
-        src: u32,
-        cancel: &CancelToken,
-        mode: QueryMode,
-    ) -> Result<(Arc<Vec<u64>>, bool), ServiceError> {
-        let key = ComputeKey::Dists {
-            generation: entry.generation,
-            src,
-        };
-        match self.obtain(key, entry, cancel, mode)? {
-            (ComputeValue::Dists { dist, .. }, degraded) => Ok((dist, degraded)),
-            _ => Err(ServiceError::Internal("wrong result kind".into())),
-        }
-    }
-
-    fn label_reply(
-        &self,
-        entry: &Arc<GraphEntry>,
-        key: ComputeKey,
-        vertex: Option<u32>,
+        q: &Query,
         cancel: &CancelToken,
         mode: QueryMode,
     ) -> Result<Answer, ServiceError> {
-        if let Some(v) = vertex {
-            check_vertex(entry, v)?;
-        }
-        match self.obtain(key, entry, cancel, mode)? {
-            (ComputeValue::Labels { labels, count, .. }, degraded) => Ok(Answer {
-                reply: match vertex {
-                    Some(v) => Reply::Label {
-                        vertex: v,
-                        label: labels[v as usize],
-                        components: count,
-                    },
-                    None => Reply::LabelSummary { components: count },
-                },
-                degraded,
-            }),
-            _ => Err(ServiceError::Internal("wrong result kind".into())),
+        let resilience = &self.inner.config.resilience;
+        let mut retries_left = resilience.max_retries;
+        let mut backoff = None;
+        loop {
+            let (key, entry) = self.plan(q)?;
+            // An already-dead query must not schedule (or join) a flight.
+            if cancel.is_cancelled() {
+                return Err(cancel_kind(cancel));
+            }
+            let (waited, degraded) = self.obtain(key, &entry, cancel, mode);
+            match waited {
+                Ok(FlightOutcome::Value(v)) => {
+                    self.inner.metrics.rounds(v.rounds());
+                    let reply = reply_from(q, &entry, &v)?;
+                    return Ok(Answer { reply, degraded });
+                }
+                // the degraded lane is the path of last resort: no retries
+                Ok(outcome) if !degraded && outcome.retryable() && retries_left > 0 => {}
+                other => return Err(flight_error(other)),
+            }
+            retries_left -= 1;
+            self.inner.metrics.retry();
+            let backoff = backoff.get_or_insert_with(|| Backoff::new(resilience, seed_for(&key)));
+            if !sleep_cancellable(backoff.next_delay(), cancel) {
+                return Err(ServiceError::Cancelled);
+            }
         }
     }
 
-    /// Cache → breaker → single-flight → bounded queue → cancellable
-    /// wait, with bounded retry around the whole chain. Returns the value
-    /// plus whether the degraded lane produced it.
+    /// Resolve a flight query against the snapshot its graph name points
+    /// to now: vertex checks, the symmetric-pair fold, and the compute
+    /// key. The returned entry pins the `(generation, epoch)` the query
+    /// answers at.
+    fn plan(&self, q: &Query) -> Result<(ComputeKey, Arc<GraphEntry>), ServiceError> {
+        let entry = self.lookup(q.graph().unwrap_or_default())?;
+        let check = |vertices: &[Option<u32>]| {
+            vertices
+                .iter()
+                .flatten()
+                .try_for_each(|&v| check_vertex(&entry, v))
+        };
+        let generation = entry.generation;
+        let key = match *q {
+            Query::BfsDist { src, target, .. } => {
+                check(&[Some(src), target])?;
+                ComputeKey::HopDists { generation, src }
+            }
+            Query::SsspDist { src, target, .. } => {
+                check(&[Some(src), target])?;
+                ComputeKey::Dists { generation, src }
+            }
+            Query::Ptp { src, dst, .. } => {
+                check(&[Some(src), Some(dst)])?;
+                // On a symmetric graph d(s,t) = d(t,s), so both directions
+                // canonicalize to one key: `s→t` and `t→s` coalesce into
+                // one flight and one cached distance array.
+                let (src, _) = canonical_pair(&entry, src, Some(dst));
+                ComputeKey::Dists { generation, src }
+            }
+            Query::Oracle { src, dst, .. } => {
+                check(&[Some(src), dst])?;
+                let (src, _) = canonical_pair(&entry, src, dst);
+                // Small graphs get a resident all-pairs oracle: every
+                // query on the graph shares ONE key, so the existing
+                // single-flight/retry/breaker/degraded machinery serves
+                // maximal coalescing for free. Larger graphs take the
+                // per-column path where distinct sources board one
+                // multi-source flight. Under pressure, *new* all-pairs
+                // promotion stops (it is the most memory- and time-hungry
+                // flight the service runs) but an oracle already in cache
+                // keeps serving through its key.
+                let all_pairs = ComputeKey::OracleAllPairs { generation };
+                let resident = entry.graph.num_vertices()
+                    <= self.inner.config.oracle_resident_max.min(MAX_SOURCES);
+                if resident
+                    && (self.inner.brownout.state() == Pressure::Normal
+                        || self.cache_has(&all_pairs))
+                {
+                    all_pairs
+                } else {
+                    ComputeKey::OracleColumn { generation, src }
+                }
+            }
+            Query::SccId { vertex, .. } => {
+                check(&[vertex])?;
+                ComputeKey::SccLabels { generation }
+            }
+            Query::CcId { vertex, .. } => {
+                check(&[vertex])?;
+                ComputeKey::CcLabels { generation }
+            }
+            Query::KCore { vertex, .. } => {
+                check(&[vertex])?;
+                ComputeKey::Coreness { generation }
+            }
+            Query::Health | Query::Stats { .. } | Query::Mutate { .. } => {
+                unreachable!("answered without a flight")
+            }
+        };
+        Ok((key, entry))
+    }
+
+    /// Cache → breaker → one flight. The flight runs on the primary lane,
+    /// or on the degraded lane when the caller asks for it, brownout
+    /// reroutes the key, or its breaker is open. Returns what the waiter
+    /// saw, plus whether the degraded lane produced it.
     fn obtain(
         &self,
         key: ComputeKey,
         entry: &Arc<GraphEntry>,
         cancel: &CancelToken,
         mode: QueryMode,
-    ) -> Result<(ComputeValue, bool), ServiceError> {
-        // An already-dead query must not schedule (or join) a flight.
-        if cancel.is_cancelled() {
-            return Err(cancel_kind(cancel));
-        }
+    ) -> (Result<FlightOutcome, WaitAbort>, bool) {
         if mode == QueryMode::Degraded {
-            return self.obtain_degraded(key, entry, cancel).map(|v| (v, true));
+            return (self.obtain_degraded(key, entry, cancel), true);
         }
-        // Oracle columns fly through the multi-source collector instead of
-        // the keyed batcher; everything around the attempt (cache, breaker,
-        // retry, degraded shedding) is shared.
-        let attempt: fn(&Self, ComputeKey, &Arc<GraphEntry>, &CancelToken) -> _ =
-            if matches!(key, ComputeKey::OracleColumn { .. }) {
-                Self::attempt_oracle
-            } else {
-                Self::attempt
-            };
-        let resilience = &self.inner.config.resilience;
-        let mut key = key;
-        let mut entry = Arc::clone(entry);
-        let mut retries_left = resilience.max_retries;
-        let mut backoff = Backoff::new(resilience, seed_for(&key));
-        loop {
-            if cancel.is_cancelled() {
-                return Err(cancel_kind(cancel));
-            }
-            // Cache before breaker: a hit is a hit even for a poisoned
-            // key, and a successful probe's result serves later queries
-            // from here without consulting the breaker again.
-            if !self.inner.faults.should_force_cache_miss() {
-                if let Some(v) = self
-                    .inner
-                    .cache
-                    .lock()
-                    .expect("cache lock poisoned")
-                    .get(&key)
-                {
-                    self.inner.metrics.cache_hit();
-                    if matches!(v, ComputeValue::Oracle { .. }) {
-                        // answered by lookup in a resident oracle
-                        self.inner.metrics.oracle_hit();
-                    }
-                    self.inner.metrics.rounds(v.rounds());
-                    return Ok((v, false));
+        // Cache before breaker: a hit is a hit even for a poisoned key,
+        // and a successful probe's result serves later queries from here
+        // without consulting the breaker again.
+        if !self.inner.faults.should_force_cache_miss() {
+            if let Some(v) = self
+                .inner
+                .cache
+                .lock()
+                .expect("cache lock poisoned")
+                .get(&key)
+            {
+                self.inner.metrics.cache_hit();
+                if matches!(v, ComputeValue::Oracle { .. }) {
+                    // answered by lookup in a resident oracle
+                    self.inner.metrics.oracle_hit();
                 }
-            }
-            self.inner.metrics.cache_miss();
-            // Brownout reroutes eligible keys (the oracle family and plain
-            // BFS — queries the sequential lane answers bit-identically at
-            // tolerable cost) straight to the fallback worker, shedding
-            // parallel-lane load without touching correctness. Breaker
-            // degradation composes with it unchanged.
-            let browned_out =
-                self.inner.brownout.state() == Pressure::Brownout && brownout_eligible(&key);
-            if browned_out || self.inner.breakers.admit(&key) == Admission::Degrade {
-                let v = self.obtain_degraded(key, &entry, cancel)?;
-                return Ok((v, true));
-            }
-            // Probe admission needs no special handling here: the probed
-            // flight's outcome drives the breaker from the worker side.
-            match attempt(self, key, &entry, cancel) {
-                Err(WaitAbort::Timeout) => return Err(ServiceError::Timeout),
-                Err(WaitAbort::Cancelled) => return Err(ServiceError::Cancelled),
-                Err(WaitAbort::DeadlineExceeded) => return Err(ServiceError::DeadlineExceeded),
-                Ok(FlightOutcome::Value(v)) => {
-                    self.inner.metrics.rounds(v.rounds());
-                    return Ok((v, false));
-                }
-                Ok(FlightOutcome::Cancelled) => return Err(ServiceError::Cancelled),
-                Ok(FlightOutcome::DeadlineExceeded) => return Err(ServiceError::DeadlineExceeded),
-                Ok(FlightOutcome::Shed) => return Err(ServiceError::Shed),
-                Ok(outcome) => {
-                    debug_assert!(outcome.retryable());
-                    if retries_left == 0 {
-                        return Err(match outcome {
-                            FlightOutcome::Overloaded => ServiceError::Overloaded,
-                            FlightOutcome::Failed(msg) => ServiceError::Internal(msg),
-                            _ => unreachable!("non-retryable outcomes returned above"),
-                        });
-                    }
-                    retries_left -= 1;
-                    self.inner.metrics.retry();
-                    if !sleep_cancellable(backoff.next_delay(), cancel) {
-                        return Err(ServiceError::Cancelled);
-                    }
-                    // The graph may have been re-registered during the
-                    // backoff; follow the name to the live generation so
-                    // the retry neither computes against a dropped graph
-                    // nor caches under a stale key.
-                    let fresh = self.lookup(&entry.name)?;
-                    if fresh.generation != key.generation() {
-                        key = key.with_generation(fresh.generation);
-                    }
-                    entry = fresh;
-                }
+                return (Ok(FlightOutcome::Value(v)), false);
             }
         }
+        self.inner.metrics.cache_miss();
+        // Brownout reroutes eligible keys (the oracle family and plain
+        // BFS — queries the sequential lane answers bit-identically at
+        // tolerable cost) straight to the fallback worker, shedding
+        // parallel-lane load without touching correctness. Breaker
+        // degradation composes with it unchanged.
+        let browned_out =
+            self.inner.brownout.state() == Pressure::Brownout && brownout_eligible(&key);
+        if browned_out || self.inner.breakers.admit(&key) == Admission::Degrade {
+            return (self.obtain_degraded(key, entry, cancel), true);
+        }
+        // Probe admission needs no special handling here: the probed
+        // flight's outcome drives the breaker from the worker side.
+        (self.attempt(key, entry, cancel), false)
     }
 
-    /// One pass through batcher + queue + wait; the typed outcome is what
-    /// retry classification runs on. The joiner's end-to-end deadline is
-    /// stamped onto the flight, and the leader faces cost-aware admission
-    /// before the queue: if the estimated debt ahead of it already makes
-    /// its deadline (or the saturation ceiling) infeasible, the flight is
-    /// shed now — newest-first by construction — instead of timing out
-    /// inside the queue.
+    /// Join (or lead) the primary-lane flight for `key` at the entry's
+    /// epoch and wait on it. Oracle columns board the snapshot's
+    /// multi-source batch, each adding its distinct source; every other
+    /// key joins the keyed flight. The joiner's end-to-end deadline is
+    /// stamped onto the flight.
     fn attempt(
         &self,
         key: ComputeKey,
@@ -970,133 +831,78 @@ impl Service {
         cancel: &CancelToken,
     ) -> Result<FlightOutcome, WaitAbort> {
         let deadline = cancel.earliest_deadline();
-        let flight = match self.inner.batcher.join_with_deadline(key, deadline) {
-            Join::Leader(flight) => {
-                if self.inner.faults.should_force_queue_full() {
-                    return Ok(self.reject_leader(&key, &flight, FlightOutcome::Overloaded));
-                }
-                let est = self.estimate_cost(&key, entry);
-                let budget = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                if self.inner.cost.admit(est, budget, self.ceiling()) == AdmitDecision::Shed {
-                    return Ok(self.reject_leader(&key, &flight, FlightOutcome::Shed));
-                }
-                let job = Work::Single(Job {
-                    key,
-                    entry: Arc::clone(entry),
-                    flight: Arc::clone(&flight),
-                    cost: est,
-                });
+        let (flight, batch, leads) = match key {
+            ComputeKey::OracleColumn { generation, src } => match self
+                .inner
+                .oracle_batcher
+                .join_with_deadline((generation, entry.epoch), src, deadline)
+            {
+                OracleJoin::Leader(batch) => (Arc::clone(batch.flight()), Some(batch), true),
+                OracleJoin::Follower(batch) => (Arc::clone(batch.flight()), None, false),
+            },
+            _ => match self
+                .inner
+                .batcher
+                .join_with_deadline((key, entry.epoch), deadline)
+            {
+                Join::Leader(flight) => (flight, None, true),
+                Join::Follower(flight) => (flight, None, false),
+            },
+        };
+        if leads {
+            let job = Job {
+                key,
+                entry: Arc::clone(entry),
+                flight: Arc::clone(&flight),
+                batch,
+                cost: Duration::ZERO,
+            };
+            if let Err(outcome) = self.lead(job, deadline) {
+                return Ok(outcome);
+            }
+        }
+        flight.wait_cancellable(self.inner.config.query_timeout, cancel)
+    }
+
+    /// The leader's half of a flight: cost-aware admission, then the
+    /// bounded queue. If the estimated debt ahead of the flight already
+    /// makes its deadline (or the saturation ceiling) infeasible, it is
+    /// shed now — newest-first by construction — instead of timing out
+    /// inside the queue. A flight whose job never reaches a worker is
+    /// completed here with the returned outcome.
+    fn lead(&self, mut job: Job, deadline: Option<Instant>) -> Result<(), FlightOutcome> {
+        let inner = &self.inner;
+        let outcome = if inner.faults.should_force_queue_full() {
+            FlightOutcome::Overloaded
+        } else {
+            job.cost = self.estimate_cost(&job.key, &job.entry);
+            let budget = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if inner.cost.admit(job.cost, budget, self.ceiling()) == AdmitDecision::Shed {
+                FlightOutcome::Shed
+            } else {
                 // Charge strictly before the job becomes visible to a
                 // worker: the worker's settle must never race ahead of
                 // the charge, or the estimate leaks into the ledger.
-                self.inner.cost.charge(est);
-                match self.queue.try_send(job) {
-                    Ok(()) => flight,
-                    Err(e) => {
-                        // refund: the job never reached a worker
-                        self.inner.cost.settle(est, Duration::ZERO);
-                        let (outcome, work) = match e {
-                            TrySendError::Full(w) => (FlightOutcome::Overloaded, w),
-                            TrySendError::Disconnected(w) => (FlightOutcome::Cancelled, w),
-                        };
-                        let Work::Single(job) = work else {
-                            unreachable!("single job returned as sent")
-                        };
-                        return Ok(self.reject_leader(&key, &job.flight, outcome));
-                    }
-                }
-            }
-            Join::Follower(flight) => flight,
-        };
-        flight.wait_cancellable(self.inner.config.query_timeout, cancel)
-    }
-
-    /// One pass through the multi-source collector + queue + wait: the
-    /// oracle-column counterpart of [`attempt`](Self::attempt). A leader
-    /// opens (and enqueues) the generation's batch; followers board it —
-    /// each adding its distinct source — and everyone waits on the shared
-    /// flight for the one bit-parallel traversal that answers them all.
-    fn attempt_oracle(
-        &self,
-        key: ComputeKey,
-        entry: &Arc<GraphEntry>,
-        cancel: &CancelToken,
-    ) -> Result<FlightOutcome, WaitAbort> {
-        let ComputeKey::OracleColumn { generation, src } = key else {
-            unreachable!("attempt_oracle is only selected for oracle-column keys")
-        };
-        let deadline = cancel.earliest_deadline();
-        let flight = match self
-            .inner
-            .oracle_batcher
-            .join_with_deadline(generation, src, deadline)
-        {
-            OracleJoin::Leader(batch) => {
-                let flight = Arc::clone(batch.flight());
-                if self.inner.faults.should_force_queue_full() {
-                    return Ok(self.reject_oracle_leader(&key, &batch, FlightOutcome::Overloaded));
-                }
-                let est = self.estimate_cost(&key, entry);
-                let budget = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                if self.inner.cost.admit(est, budget, self.ceiling()) == AdmitDecision::Shed {
-                    return Ok(self.reject_oracle_leader(&key, &batch, FlightOutcome::Shed));
-                }
-                let work = Work::Oracle {
-                    batch,
-                    entry: Arc::clone(entry),
-                    cost: est,
+                inner.cost.charge(job.cost);
+                let (outcome, work) = match self.queue.try_send(Work::Flight(job)) {
+                    Ok(()) => return Ok(()),
+                    Err(TrySendError::Full(w)) => (FlightOutcome::Overloaded, w),
+                    Err(TrySendError::Disconnected(w)) => (FlightOutcome::Cancelled, w),
                 };
-                // Charge before send (see `attempt` for the race).
-                self.inner.cost.charge(est);
-                match self.queue.try_send(work) {
-                    Ok(()) => flight,
-                    Err(e) => {
-                        self.inner.cost.settle(est, Duration::ZERO);
-                        let (outcome, work) = match e {
-                            TrySendError::Full(w) => (FlightOutcome::Overloaded, w),
-                            TrySendError::Disconnected(w) => (FlightOutcome::Cancelled, w),
-                        };
-                        let Work::Oracle { batch, .. } = work else {
-                            unreachable!("oracle batch returned as sent")
-                        };
-                        return Ok(self.reject_oracle_leader(&key, &batch, outcome));
-                    }
-                }
+                let Work::Flight(returned) = work else {
+                    unreachable!("flight job returned as sent")
+                };
+                job = returned;
+                // refund: the job never reached a worker
+                inner.cost.settle(job.cost, Duration::ZERO);
+                outcome
             }
-            OracleJoin::Follower(batch) => Arc::clone(batch.flight()),
         };
-        flight.wait_cancellable(self.inner.config.query_timeout, cancel)
-    }
-
-    /// Tear down a flight whose job never reached a worker. No breaker
-    /// evidence either way — but a half-open probe latch must be released
-    /// or the key would degrade forever.
-    fn reject_leader(
-        &self,
-        key: &ComputeKey,
-        flight: &Arc<Flight>,
-        outcome: FlightOutcome,
-    ) -> FlightOutcome {
-        self.inner.breakers.on_inconclusive(key);
-        self.inner
-            .batcher
-            .complete(key, flight, outcome.clone(), |_| {});
-        outcome
-    }
-
-    /// [`reject_leader`](Self::reject_leader) for an oracle batch whose
-    /// job never reached a worker.
-    fn reject_oracle_leader(
-        &self,
-        key: &ComputeKey,
-        batch: &Arc<OracleBatch>,
-        outcome: FlightOutcome,
-    ) -> FlightOutcome {
-        self.inner.breakers.on_inconclusive(key);
-        self.inner
-            .oracle_batcher
-            .complete(batch, outcome.clone(), |_| {});
-        outcome
+        // No breaker evidence either way — but a half-open probe latch
+        // must be released or the key would degrade forever.
+        inner.breakers.on_inconclusive(&job.key);
+        inner.publish(&job, outcome.clone(), |_| {});
+        Err(outcome)
     }
 
     /// The degraded lane: sequential algorithm on the fallback worker,
@@ -1107,55 +913,81 @@ impl Service {
         key: ComputeKey,
         entry: &Arc<GraphEntry>,
         cancel: &CancelToken,
-    ) -> Result<ComputeValue, ServiceError> {
-        let flight = match self.inner.degraded_batcher.join(key) {
+    ) -> Result<FlightOutcome, WaitAbort> {
+        let flight = match self.inner.degraded_batcher.join((key, entry.epoch)) {
             Join::Leader(flight) => {
                 let job = Job {
                     key,
                     entry: Arc::clone(entry),
                     flight: Arc::clone(&flight),
+                    batch: None,
                     // the fallback lane bypasses cost admission, so there
                     // is no charge to settle
                     cost: Duration::ZERO,
                 };
-                match self.fallback_queue.try_send(job) {
-                    Ok(()) => flight,
-                    Err(TrySendError::Full(job)) => {
-                        self.inner.degraded_batcher.complete(
-                            &key,
-                            &job.flight,
-                            FlightOutcome::Overloaded,
-                            |_| {},
-                        );
-                        return Err(ServiceError::Overloaded);
-                    }
-                    Err(TrySendError::Disconnected(job)) => {
-                        self.inner.degraded_batcher.complete(
-                            &key,
-                            &job.flight,
-                            FlightOutcome::Cancelled,
-                            |_| {},
-                        );
-                        return Err(ServiceError::Cancelled);
-                    }
+                if let Err(e) = self.fallback_queue.try_send(job) {
+                    let (outcome, job) = match e {
+                        TrySendError::Full(job) => (FlightOutcome::Overloaded, job),
+                        TrySendError::Disconnected(job) => (FlightOutcome::Cancelled, job),
+                    };
+                    self.inner.degraded_batcher.complete(
+                        &(key, entry.epoch),
+                        &job.flight,
+                        outcome.clone(),
+                        |_| {},
+                    );
+                    return Ok(outcome);
                 }
+                flight
             }
             Join::Follower(flight) => flight,
         };
-        match flight.wait_cancellable(self.inner.config.query_timeout, cancel) {
-            Err(WaitAbort::Timeout) => Err(ServiceError::Timeout),
-            Err(WaitAbort::Cancelled) => Err(ServiceError::Cancelled),
-            Err(WaitAbort::DeadlineExceeded) => Err(ServiceError::DeadlineExceeded),
-            Ok(FlightOutcome::Value(v)) => {
-                self.inner.metrics.rounds(v.rounds());
-                Ok(v)
-            }
-            Ok(FlightOutcome::Overloaded) => Err(ServiceError::Overloaded),
-            Ok(FlightOutcome::Cancelled) => Err(ServiceError::Cancelled),
-            Ok(FlightOutcome::DeadlineExceeded) => Err(ServiceError::DeadlineExceeded),
-            Ok(FlightOutcome::Shed) => Err(ServiceError::Shed),
-            Ok(FlightOutcome::Failed(msg)) => Err(ServiceError::Internal(msg)),
+        flight.wait_cancellable(self.inner.config.query_timeout, cancel)
+    }
+}
+
+impl Inner {
+    /// The per-graph mutation lock, created on first use. The map only
+    /// ever grows, but entries are a name plus an `Arc<Mutex<()>>` —
+    /// negligible next to the graph itself.
+    fn mutation_lock(&self, name: &str) -> Arc<Mutex<()>> {
+        Arc::clone(
+            self.mutation_locks
+                .lock()
+                .expect("mutation-locks lock poisoned")
+                .entry(name.to_string())
+                .or_default(),
+        )
+    }
+
+    /// Publish a primary-lane flight's outcome through the registry it
+    /// was joined on.
+    fn publish(&self, job: &Job, outcome: FlightOutcome, on_complete: impl FnOnce(u64)) {
+        match &job.batch {
+            Some(batch) => self.oracle_batcher.complete(batch, outcome, on_complete),
+            None => self.batcher.complete(
+                &(job.key, job.entry.epoch),
+                &job.flight,
+                outcome,
+                on_complete,
+            ),
+        };
+    }
+}
+
+/// The request's error for a flight that produced no value: one mapping
+/// for both lanes.
+fn flight_error(waited: Result<FlightOutcome, WaitAbort>) -> ServiceError {
+    match waited {
+        Err(WaitAbort::Timeout) => ServiceError::Timeout,
+        Err(WaitAbort::Cancelled) | Ok(FlightOutcome::Cancelled) => ServiceError::Cancelled,
+        Err(WaitAbort::DeadlineExceeded) | Ok(FlightOutcome::DeadlineExceeded) => {
+            ServiceError::DeadlineExceeded
         }
+        Ok(FlightOutcome::Overloaded) => ServiceError::Overloaded,
+        Ok(FlightOutcome::Shed) => ServiceError::Shed,
+        Ok(FlightOutcome::Failed(msg)) => ServiceError::Internal(msg),
+        Ok(FlightOutcome::Value(_)) => unreachable!("a value answers the query"),
     }
 }
 
@@ -1189,9 +1021,7 @@ impl Drop for Service {
     fn drop(&mut self) {
         // Abort in-flight traversals so workers notice the closed queue
         // promptly instead of finishing answers nobody will read.
-        self.inner.batcher.cancel_all();
-        self.inner.degraded_batcher.cancel_all();
-        self.inner.oracle_batcher.cancel_all();
+        self.cancel_inflight();
         // Closing the queues ends every worker's recv loop; swap in
         // zero-capacity stand-ins so the senders can be dropped here.
         let (dead, _) = std::sync::mpsc::sync_channel(1);
@@ -1262,6 +1092,55 @@ fn canonical_pair(entry: &GraphEntry, src: u32, dst: Option<u32>) -> (u32, Optio
         Some(d) if entry.graph.is_symmetric() && d < src => (d, Some(src)),
         _ => (src, dst),
     }
+}
+
+/// Read a flight query's answer out of the value its flight (or the
+/// cache) produced for the key [`Service::plan`] chose.
+fn reply_from(q: &Query, entry: &GraphEntry, value: &ComputeValue) -> Result<Reply, ServiceError> {
+    Ok(match (q, value) {
+        (Query::BfsDist { target, .. }, ComputeValue::HopDists { dist, .. }) => {
+            hop_reply(dist, *target)
+        }
+        (Query::SsspDist { target, .. }, ComputeValue::Dists { dist, .. }) => {
+            weight_reply(dist, *target)
+        }
+        (Query::Ptp { src, dst, .. }, ComputeValue::Dists { dist, .. }) => {
+            weight_reply(dist, canonical_pair(entry, *src, Some(*dst)).1)
+        }
+        (Query::Oracle { src, dst, .. }, ComputeValue::Oracle { oracle, .. }) => {
+            let (src, dst) = canonical_pair(entry, *src, *dst);
+            oracle_reply(oracle, src, dst)?
+        }
+        (
+            Query::SccId { vertex, .. } | Query::CcId { vertex, .. },
+            ComputeValue::Labels { labels, count, .. },
+        ) => match *vertex {
+            Some(v) => Reply::Label {
+                vertex: v,
+                label: labels[v as usize],
+                components: *count,
+            },
+            None => Reply::LabelSummary { components: *count },
+        },
+        (
+            Query::KCore { vertex, .. },
+            ComputeValue::Coreness {
+                coreness,
+                degeneracy,
+                ..
+            },
+        ) => match *vertex {
+            Some(v) => Reply::Coreness {
+                vertex: v,
+                coreness: coreness[v as usize],
+                degeneracy: *degeneracy,
+            },
+            None => Reply::CorenessSummary {
+                degeneracy: *degeneracy,
+            },
+        },
+        _ => return Err(ServiceError::Internal("wrong result kind".into())),
+    })
 }
 
 /// Answer an oracle query by lookup: the PTP distance when `dst` is
@@ -1341,8 +1220,7 @@ fn worker_loop(inner: Arc<Inner>, rx: Arc<Mutex<Receiver<Work>>>) {
             }
         };
         match work {
-            Work::Single(job) => run_single(&inner, job),
-            Work::Oracle { batch, entry, cost } => run_oracle_flight(&inner, &batch, &entry, cost),
+            Work::Flight(job) => run_flight(&inner, job),
             Work::Compact {
                 name,
                 generation,
@@ -1379,14 +1257,7 @@ fn run_compaction(inner: &Inner, name: &str, generation: u64, epoch: u64) {
     }));
     match folded {
         Ok(graph) => {
-            let lock = Arc::clone(
-                inner
-                    .mutation_locks
-                    .lock()
-                    .expect("mutation-locks lock poisoned")
-                    .entry(name.to_string())
-                    .or_default(),
-            );
+            let lock = inner.mutation_lock(name);
             let _guard = lock.lock().expect("mutation lock poisoned");
             let current = inner.catalog.get(name);
             let fresh = current
@@ -1410,7 +1281,14 @@ fn run_compaction(inner: &Inner, name: &str, generation: u64, epoch: u64) {
     inner.metrics.worker_idle();
 }
 
-fn run_single(inner: &Inner, job: Job) {
+/// Execute one flight: a keyed computation, or a multi-source oracle
+/// batch. A batch is sealed at pickup (sources that boarded while the job
+/// queued are in; later arrivals open a fresh batch) and answered by one
+/// bit-parallel traversal over all seats. The value goes to every waiter
+/// and is recorded — cache entry and breaker evidence — under every key
+/// the flight answered: one key, or one column key per boarded source,
+/// all aliasing the shared [`DistanceOracle`].
+fn run_flight(inner: &Inner, job: Job) {
     inner.metrics.worker_busy();
     let started = Instant::now();
     // The work token is a deadline-bearing child of the flight token,
@@ -1428,6 +1306,18 @@ fn run_single(inner: &Inner, job: Job) {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
+    let sources = job.batch.as_ref().map(|b| inner.oracle_batcher.seal(b));
+    let keys = match &sources {
+        Some(sources) => {
+            inner.metrics.multi_source_flight(sources.len() as u64);
+            let generation = job.key.generation();
+            sources
+                .iter()
+                .map(|&src| ComputeKey::OracleColumn { generation, src })
+                .collect()
+        }
+        None => vec![job.key],
+    };
     // Acquired *outside* catch_unwind: on a panic the guard is still
     // owned here, so its Drop shelves the workspace back in the pool
     // (every `*_observed_in` re-prepares state at entry, making a
@@ -1437,11 +1327,14 @@ fn run_single(inner: &Inner, job: Job) {
         if inner.faults.should_panic_worker() {
             panic!("injected worker panic");
         }
-        compute(inner, &job.key, &job.entry, &token, &mut ws)
+        match sources {
+            Some(sources) => multi_source(&job.entry, sources, &token, &mut ws),
+            None => compute(inner, &job.key, &job.entry, &token, &mut ws),
+        }
     }))
     .map_err(panic_message);
     drop(ws);
-    let outcome: FlightOutcome = match result {
+    let outcome = match result {
         Ok(Ok(value)) => FlightOutcome::Value(value),
         Ok(Err(Cancelled)) => {
             inner.metrics.computation_cancelled();
@@ -1455,171 +1348,56 @@ fn run_single(inner: &Inner, job: Job) {
         }
         Err(msg) => FlightOutcome::Failed(msg),
     };
-    // A value computed against an entry that is no longer current (a
-    // mutation batch landed mid-flight) could be arbitrarily stale by
-    // the time waiters read it; reject it so they retry against the
-    // live snapshot. The catalog re-check runs inside the cache
-    // critical section — the same discipline `mutate` uses — so an
-    // insert can never slip between a batch's publish and its
-    // revalidation sweep.
-    let mut outcome = outcome;
-    let mut stale = false;
+    // The value answers this flight's waiters at the snapshot they
+    // pinned, whatever landed since; it is cached only while that
+    // snapshot is still the published one. The catalog re-check runs
+    // inside the cache critical section — the same discipline `mutate`
+    // uses — so an insert can never slip between a batch's publish and
+    // its revalidation sweep.
     if let FlightOutcome::Value(value) = &outcome {
         let mut cache = inner.cache.lock().expect("cache lock poisoned");
         if entry_current(inner, &job.entry) {
-            cache.insert(job.key, value.clone());
-        } else {
-            drop(cache);
-            stale = true;
-            outcome = FlightOutcome::Failed("graph mutated during computation".into());
+            for &key in &keys {
+                cache.insert(key, value.clone());
+            }
         }
     }
-    // Breaker evidence is per *flight*, not per waiter: a batch of
-    // 50 queries riding one panicked flight is one failure. A blown
+    // Breaker evidence is per *flight*, not per waiter: a batch of 50
+    // queries riding one panicked flight is one failure per key. A blown
     // deadline is time-budget pressure, not key poison — inconclusive,
-    // like cancellation. So is a mutation landing mid-flight.
-    match &outcome {
-        FlightOutcome::Value(_) => {
-            if inner.breakers.on_success(&job.key) {
-                inner.metrics.breaker_closed();
+    // like cancellation.
+    for key in &keys {
+        match &outcome {
+            FlightOutcome::Value(_) => {
+                if inner.breakers.on_success(key) {
+                    inner.metrics.breaker_closed();
+                }
             }
-        }
-        FlightOutcome::Failed(_) if stale => inner.breakers.on_inconclusive(&job.key),
-        FlightOutcome::Failed(_) => {
-            if inner.breakers.on_failure(&job.key) {
-                inner.metrics.breaker_opened();
+            FlightOutcome::Failed(_) => {
+                if inner.breakers.on_failure(key) {
+                    inner.metrics.breaker_opened();
+                }
             }
+            FlightOutcome::Cancelled | FlightOutcome::DeadlineExceeded => {
+                inner.breakers.on_inconclusive(key)
+            }
+            FlightOutcome::Overloaded | FlightOutcome::Shed => {}
         }
-        FlightOutcome::Cancelled | FlightOutcome::DeadlineExceeded => {
-            inner.breakers.on_inconclusive(&job.key)
-        }
-        FlightOutcome::Overloaded | FlightOutcome::Shed => {}
     }
     // Every picked-up job settles its admission charge exactly once —
     // value, fault, cancel, or deadline — so debt cannot leak.
     inner.cost.settle(job.cost, started.elapsed());
-    let no_answer = matches!(
+    let answered = !matches!(
         outcome,
         FlightOutcome::Cancelled | FlightOutcome::DeadlineExceeded
     );
     // Drop the gauge before publishing, so by the time any waiter
     // observes the result the worker already reads as free.
     inner.metrics.worker_idle();
-    inner
-        .batcher
-        .complete(&job.key, &job.flight, outcome, |batch| {
-            // an aborted traversal did not produce a batch answer
-            if !no_answer {
-                inner.metrics.computation(batch)
-            }
-        });
-}
-
-/// Execute one multi-source oracle batch: seal it (sources that boarded
-/// while the job queued are in; later arrivals open a fresh batch), run
-/// a single bit-parallel traversal over all seats, cache one
-/// `OracleColumn` entry per source — all aliasing the shared
-/// [`DistanceOracle`] — and wake the whole batch.
-fn run_oracle_flight(
-    inner: &Inner,
-    batch: &Arc<OracleBatch>,
-    entry: &Arc<GraphEntry>,
-    cost: Duration,
-) {
-    inner.metrics.worker_busy();
-    let started = Instant::now();
-    // Deadline-bearing child of the flight token, as in `run_single`.
-    let token = batch.flight().token().child(batch.flight().deadline());
-    if let Some(delay) = inner.faults.injected_delay() {
-        let until = Instant::now() + delay;
-        while Instant::now() < until && !token.is_cancelled() {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-    let sources = inner.oracle_batcher.seal(batch);
-    inner.metrics.multi_source_flight(sources.len() as u64);
-    let generation = batch.generation();
-    let mut ws = inner.workspaces.acquire();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if inner.faults.should_panic_worker() {
-            panic!("injected worker panic");
-        }
-        let stats = with_storage!(
-            &*entry.graph,
-            g,
-            multi_bfs_observed_in(g, &sources, &token, &NoopObserver, &mut ws,)
-        )?;
-        let oracle = DistanceOracle::from_columns(
-            entry.graph.num_vertices(),
-            sources.clone(),
-            Arc::new(ws.take_multi_dist()),
-        );
-        Ok(ComputeValue::Oracle {
-            oracle: Arc::new(oracle),
-            rounds: stats.rounds,
-        })
-    }))
-    .map_err(panic_message);
-    drop(ws);
-    let outcome: FlightOutcome = match result {
-        Ok(Ok(value)) => FlightOutcome::Value(value),
-        Ok(Err(Cancelled)) => {
-            inner.metrics.computation_cancelled();
-            if token.cancel_requested() {
-                FlightOutcome::Cancelled
-            } else {
-                FlightOutcome::DeadlineExceeded
-            }
-        }
-        Err(msg) => FlightOutcome::Failed(msg),
-    };
-    // Same staleness rejection as `run_single`: a mutation landing
-    // mid-flight invalidates the whole batch's answer.
-    let mut outcome = outcome;
-    let mut stale = false;
-    if let FlightOutcome::Value(value) = &outcome {
-        let mut cache = inner.cache.lock().expect("cache lock poisoned");
-        if entry_current(inner, entry) {
-            for &src in &sources {
-                cache.insert(ComputeKey::OracleColumn { generation, src }, value.clone());
-            }
-        } else {
-            drop(cache);
-            stale = true;
-            outcome = FlightOutcome::Failed("graph mutated during computation".into());
-        }
-    }
-    // Per-flight breaker evidence, recorded on every boarded column key:
-    // each source's breaker sees its own flight history.
-    for &src in &sources {
-        let key = ComputeKey::OracleColumn { generation, src };
-        match &outcome {
-            FlightOutcome::Value(_) => {
-                if inner.breakers.on_success(&key) {
-                    inner.metrics.breaker_closed();
-                }
-            }
-            FlightOutcome::Failed(_) if stale => inner.breakers.on_inconclusive(&key),
-            FlightOutcome::Failed(_) => {
-                if inner.breakers.on_failure(&key) {
-                    inner.metrics.breaker_opened();
-                }
-            }
-            FlightOutcome::Cancelled | FlightOutcome::DeadlineExceeded => {
-                inner.breakers.on_inconclusive(&key)
-            }
-            FlightOutcome::Overloaded | FlightOutcome::Shed => {}
-        }
-    }
-    inner.cost.settle(cost, started.elapsed());
-    let no_answer = matches!(
-        outcome,
-        FlightOutcome::Cancelled | FlightOutcome::DeadlineExceeded
-    );
-    inner.metrics.worker_idle();
-    inner.oracle_batcher.complete(batch, outcome, |batch_size| {
-        if !no_answer {
-            inner.metrics.computation(batch_size)
+    inner.publish(&job, outcome, |batch| {
+        // an aborted traversal did not produce a batch answer
+        if answered {
+            inner.metrics.computation(batch)
         }
     });
 }
@@ -1638,11 +1416,12 @@ fn fallback_worker_loop(inner: Arc<Inner>, rx: Receiver<Job>) {
             Err(payload) => FlightOutcome::Failed(panic_message(payload)),
         };
         inner.metrics.worker_idle();
-        inner
-            .degraded_batcher
-            .complete(&job.key, &job.flight, outcome, |batch| {
-                inner.metrics.computation(batch)
-            });
+        inner.degraded_batcher.complete(
+            &(job.key, job.entry.epoch),
+            &job.flight,
+            outcome,
+            |batch| inner.metrics.computation(batch),
+        );
     }
 }
 
@@ -1714,41 +1493,13 @@ fn compute(
                 rounds: r.stats.rounds,
             }
         }
-        ComputeKey::OracleColumn { src, .. } => {
-            // Normally served by `run_oracle_flight`; reachable here only
-            // if a column key is ever enqueued as a single job. One
-            // single-seat flight keeps the answer identical either way.
-            let stats = with_storage!(
-                &*entry.graph,
-                g,
-                multi_bfs_observed_in(g, &[src], cancel, &NoopObserver, ws)
-            )?;
-            ComputeValue::Oracle {
-                oracle: Arc::new(DistanceOracle::from_columns(
-                    entry.graph.num_vertices(),
-                    vec![src],
-                    Arc::new(ws.take_multi_dist()),
-                )),
-                rounds: stats.rounds,
-            }
-        }
-        ComputeKey::OracleAllPairs { .. } => {
-            let n = entry.graph.num_vertices();
-            let sources: Vec<u32> = (0..n as u32).collect();
-            let stats = with_storage!(
-                &*entry.graph,
-                g,
-                multi_bfs_observed_in(g, &sources, cancel, &NoopObserver, ws)
-            )?;
-            ComputeValue::Oracle {
-                oracle: Arc::new(DistanceOracle::from_columns(
-                    n,
-                    sources,
-                    Arc::new(ws.take_multi_dist()),
-                )),
-                rounds: stats.rounds,
-            }
-        }
+        ComputeKey::OracleColumn { src, .. } => multi_source(entry, vec![src], cancel, ws)?,
+        ComputeKey::OracleAllPairs { .. } => multi_source(
+            entry,
+            (0..entry.graph.num_vertices() as u32).collect(),
+            cancel,
+            ws,
+        )?,
         ComputeKey::Coreness { .. } => {
             let und = entry.undirected();
             let stats = with_storage!(
@@ -1764,6 +1515,30 @@ fn compute(
                 rounds: stats.rounds,
             }
         }
+    })
+}
+
+/// One bit-parallel multi-source BFS over `sources`, as a shared
+/// distance oracle: a sealed oracle batch, or every vertex of a small
+/// graph for the resident all-pairs oracle.
+fn multi_source(
+    entry: &GraphEntry,
+    sources: Vec<u32>,
+    cancel: &CancelToken,
+    ws: &mut TraversalWorkspace,
+) -> Result<ComputeValue, Cancelled> {
+    let stats = with_storage!(
+        &*entry.graph,
+        g,
+        multi_bfs_observed_in(g, &sources, cancel, &NoopObserver, ws)
+    )?;
+    Ok(ComputeValue::Oracle {
+        oracle: Arc::new(DistanceOracle::from_columns(
+            entry.graph.num_vertices(),
+            sources,
+            Arc::new(ws.take_multi_dist()),
+        )),
+        rounds: stats.rounds,
     })
 }
 
@@ -2482,6 +2257,42 @@ mod tests {
             Reply::Health { ready, .. } => assert!(!ready, "drain clears readiness"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Shutdown reaches a multi-source flight that is already computing:
+    /// a one-source column flight on a long path runs one round per hop,
+    /// and `cancel_inflight` stops it within a round instead of letting
+    /// it run to the far end.
+    #[test]
+    fn cancel_inflight_stops_a_running_oracle_flight() {
+        const N: usize = 200_000;
+        let svc = Arc::new(small_service());
+        svc.register("path", grid2d(1, N));
+        let waiter = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || {
+                svc.query(&Query::Oracle {
+                    graph: "path".into(),
+                    src: 0,
+                    dst: Some(N as u32 - 1),
+                })
+            })
+        };
+        // the flight is counted once the worker has sealed its batch
+        let t0 = Instant::now();
+        while svc.metrics().multi_source_flights == 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "flight never started"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        svc.cancel_inflight();
+        let out = waiter.join().unwrap();
+        assert!(matches!(out, Err(ServiceError::Cancelled)), "{out:?}");
+        let m = svc.metrics();
+        assert_eq!(m.computations_cancelled, 1, "{m:?}");
+        assert_eq!(svc.inner.oracle_batcher.open_batches(), 0);
     }
 
     fn mutate_q(ops: Vec<Mutation>) -> Query {

@@ -946,3 +946,80 @@ fn mid_compaction_panic_keeps_old_snapshot_serving() {
     assert_eq!(m.workers_busy, 0);
     assert_workers_alive(&svc, 2);
 }
+
+/// Reads answer at the epoch they pinned. The first flight stalls (the
+/// `delay` fault) while a batch adds a corner-to-corner shortcut: the
+/// stalled waiter gets the pre-batch distance, a query issued after the
+/// batch opens its own flight (answered while the first still stalls)
+/// with the post-batch distance, only the post-batch value is cached,
+/// and nothing is retried.
+fn stalled_flight_answers_at_its_pinned_epoch(query: Query) {
+    let faults = FaultPlan {
+        delay_first: 1,
+        delay: Duration::from_secs(2),
+        ..FaultPlan::default()
+    };
+    let svc = Arc::new(Service::new(ServiceConfig {
+        resilience: ResilienceConfig::default(),
+        ..chaos_config(faults, 2, Duration::from_secs(10))
+    }));
+    svc.register("g", grid2d(SIDE, SIDE));
+    let far = (SIDE * SIDE - 1) as u32;
+    let stalled = {
+        let svc = Arc::clone(&svc);
+        let query = query.clone();
+        std::thread::spawn(move || svc.query(&query))
+    };
+    let t0 = Instant::now();
+    while svc.metrics().workers_busy == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "flight never started"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    svc.query(&Query::Mutate {
+        graph: "g".into(),
+        ops: vec![Mutation::InsertEdge { u: 0, v: far, w: 1 }],
+        compact: false,
+    })
+    .unwrap();
+    let post = Reply::Dist { value: Some(1) };
+    assert_eq!(svc.query(&query).unwrap(), post);
+    assert!(
+        !stalled.is_finished(),
+        "the later query rode the stalled flight"
+    );
+    let pre = Reply::Dist {
+        value: Some(2 * (SIDE as u64 - 1)),
+    };
+    assert_eq!(stalled.join().unwrap().unwrap(), pre);
+
+    assert_eq!(svc.cache_entries(), 1);
+    let computations = svc.metrics().computations;
+    assert_eq!(svc.query(&query).unwrap(), post, "served from the cache");
+    let m = svc.metrics();
+    assert_eq!(m.computations, computations, "{m:?}");
+    assert_eq!(m.retries, 0, "{m:?}");
+    assert!(m.reconciles(), "{m:?}");
+}
+
+#[test]
+fn stalled_bfs_flight_answers_at_its_pinned_epoch() {
+    stalled_flight_answers_at_its_pinned_epoch(Query::BfsDist {
+        graph: "g".into(),
+        src: 0,
+        target: Some((SIDE * SIDE - 1) as u32),
+    });
+}
+
+/// The same for an `oracle` column flight (n = 1024 > 128, so the
+/// multi-source batch path).
+#[test]
+fn stalled_oracle_flight_answers_at_its_pinned_epoch() {
+    stalled_flight_answers_at_its_pinned_epoch(Query::Oracle {
+        graph: "g".into(),
+        src: 0,
+        dst: Some((SIDE * SIDE - 1) as u32),
+    });
+}

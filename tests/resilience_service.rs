@@ -9,7 +9,7 @@
 //!   path and closes the breaker on success;
 //! * a flight that panics then succeeds on retry populates the cache
 //!   **exactly once**, and a generation bump during the backoff makes
-//!   the retry compute against the fresh graph;
+//!   the retry re-run the whole request against the fresh graph;
 //! * under a full fault storm with resilience enabled, the extended
 //!   reconciliation invariant holds:
 //!   `queries == completed + timeouts + cancelled + rejected + errors +
@@ -25,8 +25,11 @@ use pasgal_core::common::CancelToken;
 use pasgal_graph::gen::basic::grid2d;
 use pasgal_service::resilience::{STATE_HALF_OPEN, STATE_OPEN};
 use pasgal_service::{
-    FaultPlan, Query, QueryMode, Reply, ResilienceConfig, Service, ServiceConfig, ServiceError,
+    EventServer, FaultPlan, FrontendConfig, Query, QueryMode, Reply, ResilienceConfig, Service,
+    ServiceConfig, ServiceError, ShardedService,
 };
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -345,6 +348,82 @@ fn generation_bump_during_retry_discards_stale_flight() {
     let m = svc.metrics();
     assert_eq!(m.retries, 1, "{m:?}");
     assert!(m.reconciles(), "{m:?}");
+}
+
+/// One worker, the first flight panics, and the single retry waits out a
+/// long, predictable backoff to re-register the graph within.
+fn panic_then_slow_retry() -> ServiceConfig {
+    config(
+        FaultPlan::worker_panic_burst(0, 1),
+        ResilienceConfig {
+            max_retries: 1,
+            backoff_base: Duration::from_millis(150),
+            backoff_cap: Duration::from_millis(150),
+            breaker_threshold: 0,
+            ..ResilienceConfig::default()
+        },
+        1,
+    )
+}
+
+fn await_first_flight(computations: impl Fn() -> u64) {
+    let t0 = Instant::now();
+    while computations() < 1 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "first flight hung");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A retry re-runs the whole request, vertex checks included: when the
+/// graph shrinks under the retry's backoff, the target is refused
+/// instead of being read past the end of the new graph.
+#[test]
+fn retry_rechecks_vertices_against_the_re_registered_graph() {
+    let svc = Arc::new(Service::new(panic_then_slow_retry()));
+    svc.register("g", grid2d(1, 10));
+    let worker = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || svc.query(&bfs_query(0, 9)))
+    };
+    await_first_flight(|| svc.metrics().computations);
+    svc.register("g", grid2d(1, 5));
+    assert_eq!(
+        worker.join().unwrap(),
+        Err(ServiceError::VertexOutOfRange { vertex: 9, n: 5 })
+    );
+    let m = svc.metrics();
+    assert_eq!(m.retries, 1, "{m:?}");
+    assert!(m.reconciles(), "{m:?}");
+}
+
+/// The same sequence over the wire: the request gets its error line and
+/// the connection keeps serving.
+#[test]
+fn retry_over_the_wire_answers_and_keeps_the_connection() {
+    let fleet = Arc::new(ShardedService::new(panic_then_slow_retry(), 1));
+    fleet.register("g", grid2d(1, 10));
+    let server = EventServer::spawn(Arc::clone(&fleet), "127.0.0.1:0", FrontendConfig::default())
+        .expect("bind ephemeral port");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut replies = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    stream
+        .write_all(b"{\"op\":\"bfs\",\"graph\":\"g\",\"src\":0,\"target\":9}\n")
+        .unwrap();
+    await_first_flight(|| fleet.merged_metrics().computations);
+    fleet.register("g", grid2d(1, 5));
+    replies.read_line(&mut line).expect("bfs reply");
+    assert!(line.contains("\"kind\":\"vertex_out_of_range\""), "{line}");
+    line.clear();
+    stream.write_all(b"{\"op\":\"list\"}\n").unwrap();
+    replies.read_line(&mut line).expect("list reply");
+    assert!(
+        line.contains("\"ok\":true") && line.contains("\"g\""),
+        "{line}"
+    );
 }
 
 /// Forcing `"mode":"degraded"` never touches the parallel lane even when
