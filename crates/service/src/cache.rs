@@ -2,9 +2,11 @@
 //! whole-graph labelings.
 //!
 //! Keys embed the catalog **generation** of the graph they were computed
-//! against, so a re-registered graph can never serve stale answers — old
-//! entries simply become unreachable and are purged eagerly on
-//! re-registration (and lazily by LRU eviction otherwise).
+//! against, and each slot carries the **epoch** it answers for: a lookup
+//! at any other epoch is a miss, so a hit is always at its query's pinned
+//! snapshot. A mutation batch restamps the slots it revalidated in the
+//! critical section that publishes it; re-registration drops the old
+//! generation.
 //!
 //! Distance arrays (one per `(graph, source)` pair) can be numerous and
 //! large, so they live in a bounded LRU. Whole-graph labelings (SCC, CC,
@@ -129,6 +131,8 @@ impl ComputeValue {
 
 struct Slot {
     value: ComputeValue,
+    /// The epoch this value answers for.
+    epoch: u64,
     last_used: u64,
 }
 
@@ -137,7 +141,7 @@ pub struct ResultCache {
     capacity: usize,
     tick: u64,
     dists: HashMap<ComputeKey, Slot>,
-    labelings: HashMap<ComputeKey, ComputeValue>,
+    labelings: HashMap<ComputeKey, Slot>,
 }
 
 impl ResultCache {
@@ -152,82 +156,79 @@ impl ResultCache {
         }
     }
 
-    /// Look up a result, bumping its recency on hit.
-    pub fn get(&mut self, key: &ComputeKey) -> Option<ComputeValue> {
+    fn map(&mut self, key: &ComputeKey) -> &mut HashMap<ComputeKey, Slot> {
         if key.is_distance() {
-            self.tick += 1;
-            let tick = self.tick;
-            self.dists.get_mut(key).map(|slot| {
-                slot.last_used = tick;
-                slot.value.clone()
-            })
+            &mut self.dists
         } else {
-            self.labelings.get(key).cloned()
+            &mut self.labelings
         }
     }
 
-    /// Insert a freshly computed result, evicting the least recently used
-    /// distance array if over capacity.
-    pub fn insert(&mut self, key: ComputeKey, value: ComputeValue) {
-        if key.is_distance() {
-            self.tick += 1;
-            self.dists.insert(
-                key,
-                Slot {
-                    value,
-                    last_used: self.tick,
-                },
-            );
-            while self.dists.len() > self.capacity {
-                let oldest = self
-                    .dists
-                    .iter()
-                    .min_by_key(|(_, s)| s.last_used)
-                    .map(|(k, _)| *k)
-                    .expect("non-empty map has a minimum");
-                self.dists.remove(&oldest);
+    /// Look up the result for `key` at `epoch`, bumping its recency on a
+    /// hit. A slot stamped with any other epoch is a miss.
+    pub fn get(&mut self, key: &ComputeKey, epoch: u64) -> Option<ComputeValue> {
+        self.tick += 1;
+        let tick = self.tick;
+        let slot = self.map(key).get_mut(key).filter(|s| s.epoch == epoch)?;
+        slot.last_used = tick;
+        Some(slot.value.clone())
+    }
+
+    /// Insert a result computed at `epoch`, evicting the least recently
+    /// used distance array if over capacity.
+    pub fn insert(&mut self, key: ComputeKey, epoch: u64, value: ComputeValue) {
+        self.tick += 1;
+        let last_used = self.tick;
+        self.map(&key).insert(
+            key,
+            Slot {
+                value,
+                epoch,
+                last_used,
+            },
+        );
+        while self.dists.len() > self.capacity {
+            let oldest = self
+                .dists
+                .iter()
+                .min_by_key(|(_, s)| s.last_used)
+                .map(|(k, _)| *k)
+                .expect("non-empty map has a minimum");
+            self.dists.remove(&oldest);
+        }
+    }
+
+    /// Clone out every slot of `generation` (cheap: values are `Arc`s),
+    /// for revalidation outside the lock.
+    pub fn generation_slots(&self, generation: u64) -> Vec<(ComputeKey, ComputeValue)> {
+        self.dists
+            .iter()
+            .chain(&self.labelings)
+            .filter(|(k, _)| k.generation() == generation)
+            .map(|(k, s)| (*k, s.value.clone()))
+            .collect()
+    }
+
+    /// Drop every slot of `generation` except `survivors` (keys of that
+    /// generation), which take their revalidated value stamped `epoch`
+    /// and keep their recency. With no survivors this is the purge of a
+    /// re-registered name.
+    pub fn restamp_generation(
+        &mut self,
+        generation: u64,
+        epoch: u64,
+        mut survivors: HashMap<ComputeKey, ComputeValue>,
+    ) {
+        let mut restamp = |key: &ComputeKey, slot: &mut Slot| match survivors.remove(key) {
+            Some(value) => {
+                slot.value = value;
+                slot.epoch = epoch;
+                true
             }
-        } else {
-            self.labelings.insert(key, value);
-        }
-    }
-
-    /// Drop every entry computed against `generation` (called when a graph
-    /// name is re-registered or unregistered).
-    pub fn invalidate_generation(&mut self, generation: u64) {
-        self.dists.retain(|k, _| k.generation() != generation);
-        self.labelings.retain(|k, _| k.generation() != generation);
-    }
-
-    /// Remove and return every entry computed against `generation` — the
-    /// incremental-invalidation path: the mutation applier takes the
-    /// entries out, revalidates or repairs each against the applied edge
-    /// delta, and re-inserts the survivors. Taking (rather than peeking)
-    /// keeps the cache consistent even if revalidation panics mid-way:
-    /// entries are simply gone, never stale.
-    pub fn take_generation(&mut self, generation: u64) -> Vec<(ComputeKey, ComputeValue)> {
-        let mut out = Vec::new();
-        let dist_keys: Vec<ComputeKey> = self
-            .dists
-            .keys()
-            .filter(|k| k.generation() == generation)
-            .copied()
-            .collect();
-        for k in dist_keys {
-            let slot = self.dists.remove(&k).expect("key just listed");
-            out.push((k, slot.value));
-        }
-        let label_keys: Vec<ComputeKey> = self
-            .labelings
-            .keys()
-            .filter(|k| k.generation() == generation)
-            .copied()
-            .collect();
-        for k in label_keys {
-            let v = self.labelings.remove(&k).expect("key just listed");
-            out.push((k, v));
-        }
-        out
+            None => key.generation() != generation,
+        };
+        self.dists.retain(|k, s| restamp(k, s));
+        self.labelings.retain(|k, s| restamp(k, s));
     }
 
     /// Number of live entries (distance arrays + labelings).
@@ -255,13 +256,38 @@ mod tests {
     fn lru_evicts_least_recent() {
         let mut c = ResultCache::new(2);
         let k = |src| ComputeKey::Dists { generation: 0, src };
-        c.insert(k(0), dist_val(1));
-        c.insert(k(1), dist_val(1));
-        assert!(c.get(&k(0)).is_some()); // bump 0 so 1 is the LRU
-        c.insert(k(2), dist_val(1));
-        assert!(c.get(&k(0)).is_some());
-        assert!(c.get(&k(1)).is_none());
-        assert!(c.get(&k(2)).is_some());
+        c.insert(k(0), 0, dist_val(1));
+        c.insert(k(1), 0, dist_val(1));
+        assert!(c.get(&k(0), 0).is_some()); // bump 0 so 1 is the LRU
+        c.insert(k(2), 0, dist_val(1));
+        assert!(c.get(&k(0), 0).is_some());
+        assert!(c.get(&k(1), 0).is_none());
+        assert!(c.get(&k(2), 0).is_some());
+    }
+
+    #[test]
+    fn a_slot_answers_only_at_its_epoch() {
+        let mut c = ResultCache::new(4);
+        let dist = ComputeKey::Dists {
+            generation: 0,
+            src: 0,
+        };
+        let cc = ComputeKey::CcLabels { generation: 0 };
+        c.insert(dist, 5, dist_val(1));
+        c.insert(
+            cc,
+            5,
+            ComputeValue::Labels {
+                labels: Arc::new(vec![0]),
+                count: 1,
+                rounds: 1,
+            },
+        );
+        for key in [dist, cc] {
+            assert!(c.get(&key, 4).is_none(), "{key:?} hit one epoch early");
+            assert!(c.get(&key, 6).is_none(), "{key:?} hit one epoch late");
+            assert!(c.get(&key, 5).is_some());
+        }
     }
 
     #[test]
@@ -269,6 +295,7 @@ mod tests {
         let mut c = ResultCache::new(1);
         c.insert(
             ComputeKey::SccLabels { generation: 0 },
+            0,
             ComputeValue::Labels {
                 labels: Arc::new(vec![0]),
                 count: 1,
@@ -277,6 +304,7 @@ mod tests {
         );
         c.insert(
             ComputeKey::CcLabels { generation: 0 },
+            0,
             ComputeValue::Labels {
                 labels: Arc::new(vec![0]),
                 count: 1,
@@ -288,10 +316,11 @@ mod tests {
                 generation: 0,
                 src: 0,
             },
+            0,
             dist_val(1),
         );
         assert_eq!(c.len(), 3);
-        assert!(c.get(&ComputeKey::SccLabels { generation: 0 }).is_some());
+        assert!(c.get(&ComputeKey::SccLabels { generation: 0 }, 0).is_some());
     }
 
     #[test]
@@ -310,55 +339,59 @@ mod tests {
         assert!(col(0).is_distance() && all.is_distance());
         assert_eq!(col(7).describe(), "oracle@3:7");
         assert_eq!(all.describe(), "oracle@3:*");
-        c.insert(col(0), oracle_val());
-        c.insert(all, oracle_val());
-        assert!(c.get(&all).is_some()); // bump so col(0) is the LRU
-        c.insert(col(1), oracle_val());
-        assert!(c.get(&col(0)).is_none()); // evicted by capacity 2
-        assert!(c.get(&all).is_some());
-        c.invalidate_generation(3);
-        assert!(c.get(&all).is_none());
-        assert!(c.get(&col(1)).is_none());
+        c.insert(col(0), 0, oracle_val());
+        c.insert(all, 0, oracle_val());
+        assert!(c.get(&all, 0).is_some()); // bump so col(0) is the LRU
+        c.insert(col(1), 0, oracle_val());
+        assert!(c.get(&col(0), 0).is_none()); // evicted by capacity 2
+                                              // an all-pairs oracle cached at epoch 0 answers no epoch-1 query
+                                              // (so it keeps no such query on the all-pairs key) until a batch
+                                              // restamps it
+        assert!(c.get(&all, 1).is_none());
+        c.restamp_generation(3, 1, HashMap::from([(all, oracle_val())]));
+        assert!(c.get(&all, 1).is_some());
+        assert!(c.get(&all, 0).is_none());
+        assert!(c.get(&col(1), 1).is_none()); // not a survivor: dropped
+        c.restamp_generation(3, 0, HashMap::new());
+        assert!(c.get(&all, 1).is_none());
+        assert!(c.is_empty());
     }
 
     #[test]
     fn invalidation_is_per_generation() {
         let mut c = ResultCache::new(8);
-        c.insert(
-            ComputeKey::Dists {
-                generation: 1,
-                src: 0,
-            },
-            dist_val(1),
-        );
-        c.insert(
-            ComputeKey::Dists {
-                generation: 2,
-                src: 0,
-            },
-            dist_val(1),
-        );
-        c.insert(
-            ComputeKey::Coreness { generation: 1 },
-            ComputeValue::Coreness {
-                coreness: Arc::new(vec![0]),
-                degeneracy: 0,
-                rounds: 1,
-            },
-        );
-        c.invalidate_generation(1);
-        assert!(c
-            .get(&ComputeKey::Dists {
-                generation: 1,
-                src: 0
-            })
-            .is_none());
-        assert!(c.get(&ComputeKey::Coreness { generation: 1 }).is_none());
-        assert!(c
-            .get(&ComputeKey::Dists {
-                generation: 2,
-                src: 0
-            })
-            .is_some());
+        let d = |generation, src| ComputeKey::Dists { generation, src };
+        let core = |generation| ComputeKey::Coreness { generation };
+        let coreness = || ComputeValue::Coreness {
+            coreness: Arc::new(vec![0]),
+            degeneracy: 0,
+            rounds: 1,
+        };
+        c.insert(d(1, 0), 4, dist_val(1));
+        c.insert(d(1, 1), 4, dist_val(1));
+        c.insert(d(2, 0), 9, dist_val(1));
+        c.insert(core(1), 4, coreness());
+        c.insert(core(2), 9, coreness());
+        let mut slots = c.generation_slots(1);
+        slots.sort_by_key(|(k, _)| format!("{k:?}"));
+        let keys: Vec<ComputeKey> = slots.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, vec![core(1), d(1, 0), d(1, 1)]);
+        // the survivor takes its revalidated value, stamped at the new epoch
+        c.restamp_generation(1, 5, HashMap::from([(d(1, 1), dist_val(2))]));
+        match c.get(&d(1, 1), 5) {
+            Some(ComputeValue::Dists { dist, .. }) => assert_eq!(dist.len(), 2),
+            other => panic!("survivor missing: {other:?}"),
+        }
+        assert!(c.get(&d(1, 1), 4).is_none());
+        assert!(c.get(&d(1, 0), 4).is_none() && c.get(&d(1, 0), 5).is_none());
+        assert!(c.get(&core(1), 4).is_none() && c.get(&core(1), 5).is_none());
+        // the other generation is untouched, stamp and all
+        assert!(c.get(&d(2, 0), 9).is_some());
+        assert!(c.get(&core(2), 9).is_some());
+        assert_eq!(c.len(), 3);
+        c.restamp_generation(1, 0, HashMap::new());
+        assert!(c.get(&d(1, 1), 5).is_none());
+        assert!(c.get(&d(2, 0), 9).is_some());
+        assert_eq!(c.len(), 2);
     }
 }

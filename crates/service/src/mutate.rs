@@ -2,9 +2,9 @@
 //!
 //! When a mutation batch lands, the generation-nuke alternative drops
 //! every cached result of the graph and recomputes from cold. This
-//! module instead **revalidates** each taken cache entry against the
-//! applied edge delta and keeps (or cheaply repairs) the ones the batch
-//! provably did not stale:
+//! module instead **revalidates** each cached entry of the generation
+//! against the applied edge delta, before the batch publishes, and keeps
+//! (or cheaply repairs) the ones the batch provably did not stale:
 //!
 //! - **Connected components**: deletions may split a component, so any
 //!   deleted edge drops the labeling. Pure insertions are repaired
@@ -44,30 +44,29 @@ use std::sync::Arc;
 /// the per-graph mutation lock).
 const REPAIR_BUDGET: usize = 4096;
 
-/// What revalidation decided for a batch's worth of taken cache entries.
+/// What revalidation decided for a generation's cached entries.
 pub struct RevalidateOutcome {
     /// Entries still exact for the post-batch graph (possibly repaired),
-    /// ready to re-insert under their original keys.
-    pub survivors: Vec<(ComputeKey, ComputeValue)>,
-    /// Entries kept (`survivors.len()`, as a counter-ready u64).
-    pub kept: u64,
+    /// under their cached keys: the critical section that publishes the
+    /// batch restamps exactly these at its epoch and drops the rest.
+    pub survivors: HashMap<ComputeKey, ComputeValue>,
     /// Entries dropped as stale (or too expensive to repair).
     pub dropped: u64,
 }
 
-/// Revalidate every taken cache entry against `batch`, the applied edge
-/// delta, with `store` the post-batch graph the survivors must be exact
-/// for.
+/// Revalidate cached `entries` (computed at the pre-batch epoch) against
+/// `batch`, the applied edge delta, with `store` the post-batch graph the
+/// survivors must be exact for.
 pub fn revalidate(
-    entries: Vec<(ComputeKey, ComputeValue)>,
+    entries: &[(ComputeKey, ComputeValue)],
     batch: &AppliedBatch,
     store: &GraphStore,
 ) -> RevalidateOutcome {
     let new_n = store.num_vertices();
-    let mut survivors = Vec::with_capacity(entries.len());
+    let mut survivors = HashMap::with_capacity(entries.len());
     let mut dropped = 0u64;
     for (key, value) in entries {
-        let kept = match (&key, &value) {
+        let kept = match (key, value) {
             (
                 ComputeKey::CcLabels { .. },
                 ComputeValue::Labels {
@@ -90,15 +89,13 @@ pub fn revalidate(
             _ => None,
         };
         match kept {
-            Some(v) => survivors.push((key, v)),
+            Some(v) => {
+                survivors.insert(*key, v);
+            }
             None => dropped += 1,
         }
     }
-    RevalidateOutcome {
-        kept: survivors.len() as u64,
-        survivors,
-        dropped,
-    }
+    RevalidateOutcome { survivors, dropped }
 }
 
 /// Lazy union-find over component-label values (labels are vertex ids,
@@ -368,14 +365,19 @@ mod tests {
         )
     }
 
+    fn only_survivor(out: &RevalidateOutcome) -> &ComputeValue {
+        assert_eq!(out.survivors.len(), 1);
+        out.survivors.values().next().unwrap()
+    }
+
     #[test]
     fn cc_merge_matches_recompute() {
         // two components: a path 0-1-2 and an isolated pair 3-4
         let g = from_edges(5, &[(0, 1), (1, 0), (1, 2), (2, 1), (3, 4), (4, 3)]);
         let (batch, store) = mutate(g.clone(), &[Mutation::InsertEdge { u: 2, v: 3, w: 1 }]);
-        let out = revalidate(vec![cc_entry(&g)], &batch, &store);
-        assert_eq!((out.kept, out.dropped), (1, 0));
-        let (_, v) = &out.survivors[0];
+        let out = revalidate(&[cc_entry(&g)], &batch, &store);
+        assert_eq!((out.survivors.len(), out.dropped), (1, 0));
+        let v = only_survivor(&out);
         let fresh = connectivity_seq(&store.to_plain());
         match v {
             ComputeValue::Labels { labels, count, .. } => {
@@ -390,13 +392,13 @@ mod tests {
     fn cc_drops_on_deletion_and_extends_on_added_vertex() {
         let g = grid2d(3, 3);
         let (batch, store) = mutate(g.clone(), &[Mutation::DeleteEdge { u: 0, v: 1 }]);
-        let out = revalidate(vec![cc_entry(&g)], &batch, &store);
-        assert_eq!((out.kept, out.dropped), (0, 1));
+        let out = revalidate(&[cc_entry(&g)], &batch, &store);
+        assert_eq!((out.survivors.len(), out.dropped), (0, 1));
 
         let (batch, store) = mutate(g.clone(), &[Mutation::AddVertex]);
-        let out = revalidate(vec![cc_entry(&g)], &batch, &store);
-        assert_eq!(out.kept, 1);
-        match &out.survivors[0].1 {
+        let out = revalidate(&[cc_entry(&g)], &batch, &store);
+        assert_eq!(out.survivors.len(), 1);
+        match only_survivor(&out) {
             ComputeValue::Labels { labels, count, .. } => {
                 assert_eq!(labels.len(), 10);
                 assert_eq!(labels[9], 9);
@@ -413,10 +415,10 @@ mod tests {
         // a shortcut from the source corner to the far corner
         let ops = [Mutation::InsertEdge { u: 0, v: 15, w: 1 }];
         let (batch, store) = mutate(g.clone(), &ops);
-        let out = revalidate(vec![hops_entry(&g, 0)], &batch, &store);
-        assert_eq!((out.kept, out.dropped), (1, 0));
+        let out = revalidate(&[hops_entry(&g, 0)], &batch, &store);
+        assert_eq!((out.survivors.len(), out.dropped), (1, 0));
         let fresh = bfs_seq(&store.to_plain(), 0).dist;
-        match &out.survivors[0].1 {
+        match only_survivor(&out) {
             ComputeValue::HopDists { dist, .. } => assert_eq!(**dist, fresh),
             other => panic!("unexpected {other:?}"),
         }
@@ -428,18 +430,18 @@ mod tests {
         // 0->1, 1->2, 0->2: d = [0,1,1]; deleting 1->2 is non-tight
         // (d[1]+1 == 2 != d[2]); deleting 0->1 is tight.
         let g = from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
-        let entry = hops_entry(&g, 0);
+        let entry = [hops_entry(&g, 0)];
         let (batch, store) = mutate(g.clone(), &[Mutation::DeleteEdge { u: 1, v: 2 }]);
-        let out = revalidate(vec![entry.clone()], &batch, &store);
-        assert_eq!((out.kept, out.dropped), (1, 0));
+        let out = revalidate(&entry, &batch, &store);
+        assert_eq!((out.survivors.len(), out.dropped), (1, 0));
         let fresh = bfs_seq(&store.to_plain(), 0).dist;
-        match &out.survivors[0].1 {
+        match only_survivor(&out) {
             ComputeValue::HopDists { dist, .. } => assert_eq!(**dist, fresh),
             other => panic!("unexpected {other:?}"),
         }
         let (batch, store) = mutate(g.clone(), &[Mutation::DeleteEdge { u: 0, v: 1 }]);
-        let out = revalidate(vec![entry], &batch, &store);
-        assert_eq!((out.kept, out.dropped), (0, 1));
+        let out = revalidate(&entry, &batch, &store);
+        assert_eq!((out.survivors.len(), out.dropped), (0, 1));
     }
 
     #[test]
@@ -470,10 +472,10 @@ mod tests {
         };
         let ops = [Mutation::InsertEdge { u: 0, v: 15, w: 1 }];
         let (batch, store) = mutate(g.clone(), &ops);
-        let out = revalidate(vec![entry], &batch, &store);
-        assert_eq!((out.kept, out.dropped), (1, 0));
+        let out = revalidate(&[entry], &batch, &store);
+        assert_eq!((out.survivors.len(), out.dropped), (1, 0));
         let fresh = sssp_dijkstra(&store.to_plain(), 0).dist;
-        match &out.survivors[0].1 {
+        match only_survivor(&out) {
             ComputeValue::Dists { dist, .. } => assert_eq!(**dist, fresh),
             other => panic!("unexpected {other:?}"),
         }
@@ -495,16 +497,16 @@ mod tests {
         // an edge that shortens nothing from source 0: 3 -> 0 (d[3]=3,
         // cannot improve d[0]=0)
         let (batch, store) = mutate(g.clone(), &[Mutation::InsertEdge { u: 3, v: 0, w: 1 }]);
-        let out = revalidate(vec![(key, oracle.clone())], &batch, &store);
-        assert_eq!((out.kept, out.dropped), (1, 0));
+        let out = revalidate(&[(key, oracle.clone())], &batch, &store);
+        assert_eq!((out.survivors.len(), out.dropped), (1, 0));
         // a shortcut that improves column 0 drops the oracle
         let (batch, store) = mutate(g.clone(), &[Mutation::InsertEdge { u: 0, v: 3, w: 1 }]);
-        let out = revalidate(vec![(key, oracle.clone())], &batch, &store);
-        assert_eq!((out.kept, out.dropped), (0, 1));
+        let out = revalidate(&[(key, oracle.clone())], &batch, &store);
+        assert_eq!((out.survivors.len(), out.dropped), (0, 1));
         // vertex growth drops the oracle (fixed n)
         let (batch, store) = mutate(g.clone(), &[Mutation::AddVertex]);
-        let out = revalidate(vec![(key, oracle)], &batch, &store);
-        assert_eq!((out.kept, out.dropped), (0, 1));
+        let out = revalidate(&[(key, oracle)], &batch, &store);
+        assert_eq!((out.survivors.len(), out.dropped), (0, 1));
     }
 
     #[test]
@@ -529,7 +531,7 @@ mod tests {
             ),
         ];
         let (batch, store) = mutate(g, &[Mutation::InsertEdge { u: 0, v: 8, w: 1 }]);
-        let out = revalidate(entries, &batch, &store);
-        assert_eq!((out.kept, out.dropped), (0, 2));
+        let out = revalidate(&entries, &batch, &store);
+        assert_eq!((out.survivors.len(), out.dropped), (0, 2));
     }
 }

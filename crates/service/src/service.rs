@@ -9,13 +9,15 @@
 //! and submits one job to a **bounded** queue (full queue =
 //! [`FlightOutcome::Overloaded`]) → a worker runs the traversal once and
 //! wakes the whole batch. Both kinds of flight share one leader path and
-//! one worker path. The answer is as of the pinned epoch; it is cached
-//! only if that epoch is still current. Waiters give up after the timeout
-//! ([`ServiceError::Timeout`]) but the computation keeps running — and
-//! populates the cache — *as long as anyone is still waiting on it*.
-//! When the **last** waiter gives up, the flight's [`CancelToken`] fires,
-//! the worker's traversal aborts within one round, and the worker is free
-//! for the next job instead of finishing an answer nobody wants.
+//! one worker path. Every answer, cached or computed, is at the pinned
+//! epoch: a cache slot hits only at the epoch it is stamped with, and a
+//! flight's value is cached only if its epoch is still current. Waiters
+//! give up after the timeout ([`ServiceError::Timeout`]) but the
+//! computation keeps running — and populates the cache — *as long as
+//! anyone is still waiting on it*. When the **last** waiter gives up, the
+//! flight's [`CancelToken`] fires, the worker's traversal aborts within
+//! one round, and the worker is free for the next job instead of
+//! finishing an answer nobody wants.
 //!
 //! # Resilience (see `resilience.rs`)
 //!
@@ -296,11 +298,12 @@ impl Service {
     }
 
     fn invalidate(&self, generation: u64) {
+        // no survivors: the epoch stamps nothing
         self.inner
             .cache
             .lock()
             .expect("cache lock poisoned")
-            .invalidate_generation(generation);
+            .restamp_generation(generation, 0, HashMap::new());
         self.inner.breakers.invalidate_generation(generation);
     }
 
@@ -456,12 +459,12 @@ impl Service {
         )
     }
 
-    fn cache_has(&self, key: &ComputeKey) -> bool {
+    fn cache_has(&self, key: &ComputeKey, epoch: u64) -> bool {
         self.inner
             .cache
             .lock()
             .expect("cache lock poisoned")
-            .get(key)
+            .get(key, epoch)
             .is_some()
     }
 
@@ -531,11 +534,12 @@ impl Service {
 
     /// Apply one mutation batch: serialized per graph, atomic per batch
     /// (the batch lands on a clone of the overlay, so a panic mid-apply
-    /// publishes nothing), epoch-stamped, and followed — still under the
-    /// mutation lock — by cache revalidation: every cached result of the
-    /// graph's generation is kept if the batch provably cannot change it,
-    /// repaired if it can be, dropped otherwise. Brownout sheds mutations
-    /// before any work; `Pressured` forces compaction after the batch.
+    /// publishes nothing), and epoch-stamped. Before it publishes, every
+    /// cached result of the generation is kept if the batch provably
+    /// cannot change it, repaired if it can be, dropped otherwise; one
+    /// critical section restamps the survivors, drops the rest, and
+    /// publishes. Brownout sheds mutations before any work; `Pressured`
+    /// forces compaction after the batch.
     fn mutate(
         &self,
         name: &str,
@@ -590,27 +594,29 @@ impl Service {
         } else {
             let epoch = entry.epoch + 1;
             let delta_bytes = overlay.delta_bytes();
-            let published = self
-                .inner
-                .catalog
-                .publish(name, GraphStore::Overlay(overlay), entry.generation, epoch)
-                // a concurrent re-registration won the name; its
-                // generation bump already invalidated everything this
-                // batch could have staled
-                .ok_or_else(|| ServiceError::UnknownGraph(name.to_string()))?;
-            let taken = self
+            let store = GraphStore::Overlay(overlay);
+            // `cached` outlives the critical section: no value is freed in it
+            let cached = self
                 .inner
                 .cache
                 .lock()
                 .expect("cache lock poisoned")
-                .take_generation(entry.generation);
-            let out = crate::mutate::revalidate(taken, &applied, &published.graph);
-            self.inner.metrics.cache_revalidated(out.kept);
+                .generation_slots(entry.generation);
+            let out = crate::mutate::revalidate(&cached, &applied, &store);
+            self.inner
+                .metrics
+                .cache_revalidated(out.survivors.len() as u64);
             self.inner.metrics.cache_dropped(out.dropped);
             let mut cache = self.inner.cache.lock().expect("cache lock poisoned");
-            for (key, value) in out.survivors {
-                cache.insert(key, value);
-            }
+            let published = self
+                .inner
+                .catalog
+                .publish(name, store, entry.generation, epoch)
+                // a concurrent re-registration won the name; its
+                // generation bump already invalidated everything this
+                // batch could have staled
+                .ok_or_else(|| ServiceError::UnknownGraph(name.to_string()))?;
+            cache.restamp_generation(entry.generation, epoch, out.survivors);
             drop(cache);
             if force_compact
                 || delta_bytes >= self.inner.config.compact_delta_bytes
@@ -744,7 +750,7 @@ impl Service {
                     <= self.inner.config.oracle_resident_max.min(MAX_SOURCES);
                 if resident
                     && (self.inner.brownout.state() == Pressure::Normal
-                        || self.cache_has(&all_pairs))
+                        || self.cache_has(&all_pairs, entry.epoch))
                 {
                     all_pairs
                 } else {
@@ -793,7 +799,7 @@ impl Service {
                 .cache
                 .lock()
                 .expect("cache lock poisoned")
-                .get(&key)
+                .get(&key, entry.epoch)
             {
                 self.inner.metrics.cache_hit();
                 if matches!(v, ComputeValue::Oracle { .. }) {
@@ -1063,15 +1069,15 @@ fn sleep_cancellable(delay: Duration, cancel: &CancelToken) -> bool {
     }
 }
 
-/// Whether `entry` is still the published snapshot of its name: same
-/// generation **and** epoch. Compaction republishes at the same epoch,
-/// so a compacted graph does not invalidate flights computed against
-/// the overlay — the content is identical.
-fn entry_current(inner: &Inner, entry: &GraphEntry) -> bool {
+/// The published entry of `name` if it is still at `(generation, epoch)`
+/// — the one currency check of flights and compaction. Compaction
+/// republishes at the same epoch, so a compacted graph does not
+/// invalidate values computed against the overlay: the content is equal.
+fn current_entry(inner: &Inner, name: &str, at: (u64, u64)) -> Option<Arc<GraphEntry>> {
     inner
         .catalog
-        .get(&entry.name)
-        .is_some_and(|c| c.generation == entry.generation && c.epoch == entry.epoch)
+        .get(name)
+        .filter(|c| (c.generation, c.epoch) == at)
 }
 
 fn check_vertex(entry: &Arc<GraphEntry>, v: u32) -> Result<(), ServiceError> {
@@ -1238,12 +1244,9 @@ fn worker_loop(inner: Arc<Inner>, rx: Arc<Mutex<Receiver<Work>>>) {
 /// concurrent batch, or a re-registration all leave the currently
 /// published snapshot serving untouched.
 fn run_compaction(inner: &Inner, name: &str, generation: u64, epoch: u64) {
-    let Some(entry) = inner.catalog.get(name) else {
-        return;
-    };
-    if entry.generation != generation || entry.epoch != epoch {
+    let Some(entry) = current_entry(inner, name, (generation, epoch)) else {
         return; // stale before it started: nothing attempted, nothing counted
-    }
+    };
     let GraphStore::Overlay(overlay) = &*entry.graph else {
         return; // already compact
     };
@@ -1259,11 +1262,7 @@ fn run_compaction(inner: &Inner, name: &str, generation: u64, epoch: u64) {
         Ok(graph) => {
             let lock = inner.mutation_lock(name);
             let _guard = lock.lock().expect("mutation lock poisoned");
-            let current = inner.catalog.get(name);
-            let fresh = current
-                .as_ref()
-                .is_some_and(|c| c.generation == generation && c.epoch == epoch);
-            if fresh
+            if current_entry(inner, name, (generation, epoch)).is_some()
                 && inner
                     .catalog
                     .publish(name, GraphStore::Plain(graph), generation, epoch)
@@ -1349,16 +1348,16 @@ fn run_flight(inner: &Inner, job: Job) {
         Err(msg) => FlightOutcome::Failed(msg),
     };
     // The value answers this flight's waiters at the snapshot they
-    // pinned, whatever landed since; it is cached only while that
-    // snapshot is still the published one. The catalog re-check runs
-    // inside the cache critical section — the same discipline `mutate`
-    // uses — so an insert can never slip between a batch's publish and
-    // its revalidation sweep.
+    // pinned, whatever landed since; it is cached, stamped with that
+    // epoch, only while that snapshot is still the published one. The
+    // re-check runs in the cache critical section `mutate` publishes in,
+    // so no value lands beside a newer epoch's restamp.
     if let FlightOutcome::Value(value) = &outcome {
         let mut cache = inner.cache.lock().expect("cache lock poisoned");
-        if entry_current(inner, &job.entry) {
+        let entry = &job.entry;
+        if current_entry(inner, &entry.name, (entry.generation, entry.epoch)).is_some() {
             for &key in &keys {
-                cache.insert(key, value.clone());
+                cache.insert(key, entry.epoch, value.clone());
             }
         }
     }
@@ -2160,6 +2159,11 @@ mod tests {
         })
         .unwrap();
         assert_eq!(svc.pressure(), Pressure::Normal);
+        // the promoted oracle keeps only queries at its own epoch on the
+        // all-pairs key under pressure
+        let generation = svc.catalog().get("g").unwrap().generation;
+        let all_pairs = ComputeKey::OracleAllPairs { generation };
+        assert!(svc.cache_has(&all_pairs, 0) && !svc.cache_has(&all_pairs, 1));
         let m = svc.metrics();
         assert!(m.oracle_reconciles(), "{m:?}");
         assert_eq!(m.oracle_queries, 2);

@@ -513,10 +513,11 @@ impl Model {
     }
 }
 
-/// The `i`-th mutation batch of mutator `t`: four edge edits drawn from
-/// a fixed chord pool (so deletions actually hit earlier insertions)
-/// plus base-grid edge toggles (so shortest paths and components really
-/// change under the queriers' feet).
+/// The `i`-th mutation batch of mutator `t`: four ops — edge edits drawn
+/// from a fixed chord pool (so deletions actually hit earlier
+/// insertions), base-grid edge toggles (so shortest paths and components
+/// really change under the queriers' feet), and vertex additions (so a
+/// querier can name a vertex that exists only from some epoch on).
 fn storm_batch(seed: u64, t: u64, i: u64) -> Vec<Mutation> {
     let n = (SIDE * SIDE) as u64;
     let mut ops = Vec::with_capacity(4);
@@ -528,9 +529,10 @@ fn storm_batch(seed: u64, t: u64, i: u64) -> Vec<Mutation> {
         if u == v {
             v = (v + 1) % n as u32;
         }
-        ops.push(match h % 4 {
+        ops.push(match h % 5 {
             0 => Mutation::InsertEdge { u, v, w: 1 },
             1 => Mutation::DeleteEdge { u, v },
+            4 => Mutation::AddVertex,
             kind => {
                 // toggle the base grid edge to the right (or left, at the
                 // row boundary) of the pool vertex
@@ -599,10 +601,10 @@ fn query_ok(svc: &Service, q: &Query, attempts: u32) -> Reply {
 /// mid-batch, and panics compaction mid-fold. Afterwards the
 /// epoch-stamped mutation log is replayed into a sequential model and
 /// every served answer must match some consistent cut within its
-/// observation window: `[e_lo − 1, e_hi]`, where the −1 slack is the
-/// documented one-epoch cache-visibility lag (a hit may be served
-/// between a batch's publish and its revalidation sweep becoming
-/// visible to that reader).
+/// observation window `[e_lo, e_hi]`: cached or computed, an answer is at
+/// the epoch its query pinned. Some targets are vertices added by the
+/// storm (below the `n` read at `e_lo`; `n` never shrinks), so an answer
+/// from before the vertex existed cannot hide.
 #[test]
 fn mutation_query_storm_linearizes() {
     const MUTATORS: u64 = 2;
@@ -666,10 +668,18 @@ fn mutation_query_storm_linearizes() {
             std::thread::spawn(move || {
                 for j in 0..QUERIES {
                     let h = mix(seed ^ 0xF00D ^ (t << 32) ^ j);
-                    let e_lo = svc.catalog().get("g").unwrap().epoch;
+                    let snapshot = svc.catalog().get("g").unwrap();
+                    let e_lo = snapshot.epoch;
+                    // one BFS and one CC query in every eight name a
+                    // vertex the storm added
+                    let added = snapshot.graph.num_vertices() as u64 - n;
+                    let vertex = match (h >> 20) % n {
+                        x if added > 0 && j % 8 < 2 => (n + x % added) as u32,
+                        x => x as u32,
+                    };
                     let (q, src, target) = if j % 2 == 0 {
                         let src = (h % 16) as u32;
-                        let target = ((h >> 20) % n) as u32;
+                        let target = vertex;
                         (
                             Query::BfsDist {
                                 graph: "g".into(),
@@ -683,7 +693,7 @@ fn mutation_query_storm_linearizes() {
                         (
                             Query::CcId {
                                 graph: "g".into(),
-                                vertex: Some(((h >> 20) % n) as u32),
+                                vertex: Some(vertex),
                             },
                             0,
                             0,
@@ -703,6 +713,10 @@ fn mutation_query_storm_linearizes() {
                             kind: ObsKind::Components { count: components },
                         }),
                         Ok(other) => panic!("unexpected reply: {other:?}"),
+                        // n never shrinks: a vertex seen at e_lo stays
+                        Err(e @ ServiceError::VertexOutOfRange { .. }) => {
+                            panic!("{q:?} at epoch ≥ {e_lo}: {e:?}")
+                        }
                         // timeout / injected panic / overload: nothing was
                         // served, so there is nothing to linearize
                         Err(_) => {}
@@ -749,7 +763,7 @@ fn mutation_query_storm_linearizes() {
         "the query storm should serve at least one answer"
     );
     for o in &obs {
-        let lo = o.e_lo.saturating_sub(1);
+        let lo = o.e_lo;
         let hi = o.e_hi.min(k);
         let ok = (lo..=hi).any(|e| o.matches(&states[e as usize]));
         assert!(

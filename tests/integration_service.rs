@@ -3,12 +3,16 @@
 //! several kinds are checked against direct `pasgal-core` calls.
 
 use pasgal_core::common::VgcConfig;
+use pasgal_graph::builder::from_edges;
 use pasgal_graph::gen::basic::grid2d;
+use pasgal_graph::overlay::Mutation;
 use pasgal_service::{
     EventServer, FrontendConfig, Query, Reply, Service, ServiceConfig, ServiceError, ShardedService,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -198,6 +202,84 @@ fn reregistration_invalidates_cache() {
     // Unregistering makes the name unknown.
     assert!(svc.unregister("g"));
     assert!(matches!(svc.query(&q), Err(ServiceError::UnknownGraph(_))));
+}
+
+/// Every answer — a cache hit as much as a computation — is at the epoch
+/// its query pinned. Each `AddVertex` batch makes vertex n − 1 exist only
+/// from its own epoch on, so a reader that checks `n − 1` against the new
+/// snapshot and is then served an array from the epoch before indexes past
+/// its end. And each batch must be revalidated into the cached CC
+/// labeling exactly once: a second pass adds the new vertex as a
+/// component twice.
+#[test]
+fn cache_hits_answer_at_the_pinned_epoch_while_vertices_are_added() {
+    const BATCHES: usize = 20_000;
+    let svc = Arc::new(Service::new(ServiceConfig::default()));
+    svc.register("g", grid2d(8, 8));
+    let done = Arc::new(AtomicBool::new(false));
+    let panics = Arc::new(AtomicUsize::new(0));
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let (svc, done, panics) = (Arc::clone(&svc), Arc::clone(&done), Arc::clone(&panics));
+            std::thread::spawn(move || {
+                while !done.load(Ordering::Relaxed) {
+                    let n = svc.catalog().get("g").unwrap().graph.num_vertices() as u32;
+                    let graph = "g".to_string();
+                    let queries = [
+                        Query::BfsDist {
+                            graph: graph.clone(),
+                            src: 0,
+                            target: Some(n - 1),
+                        },
+                        Query::CcId {
+                            graph,
+                            vertex: Some(n - 1),
+                        },
+                    ];
+                    for q in &queries {
+                        match catch_unwind(AssertUnwindSafe(|| svc.query(q))) {
+                            Ok(r) => assert!(r.is_ok(), "{q:?} → {r:?}"),
+                            Err(_) => {
+                                panics.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    let grow = Query::Mutate {
+        graph: "g".into(),
+        ops: vec![Mutation::AddVertex],
+        compact: false,
+    };
+    for _ in 0..BATCHES {
+        svc.query(&grow).unwrap();
+    }
+    done.store(true, Ordering::Relaxed);
+    for r in readers {
+        r.join().unwrap();
+    }
+    assert_eq!(panics.load(Ordering::Relaxed), 0, "a reader panicked");
+
+    let base = grid2d(8, 8);
+    let edges: Vec<(u32, u32)> = (0..64u32)
+        .flat_map(|u| base.neighbors(u).iter().map(move |&v| (u, v)))
+        .collect();
+    let rebuilt = from_edges(64 + BATCHES, &edges);
+    let expected = pasgal_core::cc::connectivity(&rebuilt).num_components;
+    let summary = svc
+        .query(&Query::CcId {
+            graph: "g".into(),
+            vertex: None,
+        })
+        .unwrap();
+    assert_eq!(
+        summary,
+        Reply::LabelSummary {
+            components: expected
+        }
+    );
 }
 
 /// With a tiny queue and a single stalled-ish worker, a burst of distinct
